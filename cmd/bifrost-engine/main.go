@@ -199,8 +199,8 @@ func run() error {
 		defer sampler.Stop()
 	}
 
-	// The API serves /api/v2 (run lifecycle resources, SSE event stream)
-	// plus the /api/v1 aliases; the dashboard's page drives the v2 API.
+	// The API serves /api/v2 (run lifecycle resources, SSE event stream);
+	// the dashboard's page drives it too.
 	// The expander lets one POST schedule a whole matrix template.
 	api := engine.NewAPI(eng, dsl.Compile).WithExpander(expandAll).Handler()
 	if cluster != nil {

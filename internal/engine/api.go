@@ -57,8 +57,7 @@ type ExpandFunc func(src string) ([]ExpandedStrategy, error)
 //	GET    /api/v2/events/stream        live Server-Sent Events (?strategy=, ?replay=)
 //
 // Errors are application/problem+json documents with a machine-readable
-// "code" field (see httpx.Problem). The v1 routes remain mounted as thin
-// aliases of their v2 counterparts for one release.
+// "code" field (see httpx.Problem).
 type API struct {
 	eng     *Engine
 	compile CompileFunc
@@ -128,7 +127,7 @@ const (
 	CodeNotImplemented  = "not_implemented"
 )
 
-// Handler returns the API handler (v2 routes plus v1 aliases).
+// Handler returns the API handler.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v2/runs", a.handleSchedule)
@@ -142,13 +141,6 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v2/runs/{name}/events", a.handleRunEvents)
 	mux.HandleFunc("GET /api/v2/events", a.handleEvents)
 	mux.HandleFunc("GET /api/v2/events/stream", a.handleEventStream)
-
-	// v1 aliases, kept for one release while CLIs migrate.
-	mux.HandleFunc("POST /api/v1/strategies", a.handleSchedule)
-	mux.HandleFunc("GET /api/v1/strategies", a.handleList)
-	mux.HandleFunc("GET /api/v1/strategies/{name}", a.handleGet)
-	mux.HandleFunc("DELETE /api/v1/strategies/{name}", a.handleAbort)
-	mux.HandleFunc("GET /api/v1/events", a.handleEvents)
 
 	mux.HandleFunc("GET /-/healthy", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})

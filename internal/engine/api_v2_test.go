@@ -276,32 +276,6 @@ func TestAPIRunEventsHistory(t *testing.T) {
 	}
 }
 
-func TestAPIV1AliasesStillServe(t *testing.T) {
-	_, ts, _ := v2Fixture(t)
-	ctx := context.Background()
-
-	var st Status
-	err := httpx.PostJSON(ctx, ts.URL+"/api/v1/strategies",
-		ScheduleRequest{YAML: "quick-legacy"}, &st)
-	if err != nil {
-		t.Fatalf("v1 schedule: %v", err)
-	}
-	if st.Strategy != "quick-legacy" {
-		t.Errorf("strategy = %q", st.Strategy)
-	}
-	var list []Status
-	if err := httpx.GetJSON(ctx, ts.URL+"/api/v1/strategies", &list); err != nil {
-		t.Fatalf("v1 list: %v", err)
-	}
-	if len(list) != 1 {
-		t.Errorf("list = %+v", list)
-	}
-	var events []Event
-	if err := httpx.GetJSON(ctx, ts.URL+"/api/v1/events?n=5", &events); err != nil {
-		t.Fatalf("v1 events: %v", err)
-	}
-}
-
 func TestAPISSEStreamDeliversWithoutPolling(t *testing.T) {
 	_, _, c := v2Fixture(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,9 +2,8 @@ package engine
 
 import (
 	"context"
-	"sync"
+	"time"
 
-	"bifrost/internal/clock"
 	"bifrost/internal/core"
 )
 
@@ -19,150 +18,153 @@ type interruptMsg struct {
 	cause string
 }
 
-// checkRunner executes one check's timed (re-)executions within a state,
-// implementing the τ timer mechanism of §3.2 and Figure 3 of the paper.
-// Statistical checks (compare, sequential, burnrate) run their Analyzer
-// instead of the boolean evaluator and carry a typed Verdict.
+// checkRunner is one check's τ timer within a state (§3.2 and Figure 3 of
+// the paper): its schedule and its tallies. The run loop owns it: the loop
+// starts each due execution, records each result and reads the tallies
+// when the state ends, so nothing here is shared. Statistical checks
+// (compare, sequential, burnrate, changepoint) run their Analyzer instead
+// of the boolean evaluator and carry a typed Verdict.
 type checkRunner struct {
-	run       *Run
-	check     *core.Check
-	interrupt chan<- interruptMsg
+	check *core.Check
+	// scheduled is how many timed executions the state runs, started how
+	// many of them began. At most one is in flight. due is when the next
+	// one starts: Interval after the previous one was due, or when the
+	// previous one ended if that is later. Timer and dispatch latency
+	// thus never push the schedule back, while a query that overruns its
+	// slot does: no execution is dropped, and none is run early to catch
+	// up.
+	scheduled, started int
+	inflight           bool
+	due                time.Time
 
-	mu           sync.Mutex
 	executions   int
 	successes    int
 	failures     int
 	inconclusive int
 	lastError    string
 	lastVerdict  core.Verdict
-	concluded    bool
-	// fired marks that this runner already sent its one interrupt. The
-	// state's interrupt channel has one buffer slot per runner, so a
-	// claimFire-guarded send can never block — even when several runners
-	// conclude in the same instant (the first message consumed wins; the
-	// rest are drained unread when the state ends).
-	fired bool
+	// concluded marks a sequential or changepoint check's sticky decision.
+	concluded bool
 }
 
-func newCheckRunner(r *Run, c *core.Check, interrupt chan<- interruptMsg) *checkRunner {
+// execResult is what one execution of the state's check number check
+// returned.
+type execResult struct {
+	check   int
+	ok      bool
+	verdict core.Verdict
+	err     error
+}
+
+// newCheckRunner arms c's schedule for a state entered at entry whose
+// timer runs for window (0: the state has no duration). Following Figure 3
+// of the paper, execution k is nominally due at entry + k·Interval, the
+// first at entry itself. A state with a duration schedules the executions
+// nominally due before its end, capped at the check's n; one without
+// schedules n. Checks without an Interval run once when the state ends.
+func newCheckRunner(c *core.Check, entry time.Time, window time.Duration) *checkRunner {
 	// Analyzers that accumulate evidence across executions (the
 	// sequential check's SPRT) restart fresh each time the state is
 	// (re-)entered.
 	if ra, ok := c.Analyze.(core.ResettableAnalyzer); ok {
 		ra.Reset()
 	}
-	return &checkRunner{run: r, check: c, interrupt: interrupt}
-}
-
-// runTimed executes the check every Interval until the scheduled number of
-// executions is reached or the state context ends. Following Figure 3 of
-// the paper, the first execution happens immediately on state entry (a1
-// starts at t0), so n executions span (n−1)·Interval and always fit inside
-// a state whose duration is n·Interval.
-func (cr *checkRunner) runTimed(ctx context.Context, clk clock.Clock) {
-	if ctx.Err() != nil {
-		return
-	}
-	cr.executeOnce(ctx)
-	total := cr.check.ExecutionsOrDefault()
-	if total <= 1 {
-		return
-	}
-	ticker := clk.NewTicker(cr.check.Interval)
-	defer ticker.Stop()
-	for i := 1; i < total; i++ {
-		select {
-		case <-ticker.C():
-			cr.executeOnce(ctx)
-		case <-ctx.Done():
-			return
+	cr := &checkRunner{check: c, due: entry}
+	if c.Interval > 0 {
+		cr.scheduled = c.ExecutionsOrDefault()
+		if window > 0 {
+			cr.scheduled = min(cr.scheduled, int((window-1)/c.Interval)+1)
 		}
 	}
+	return cr
 }
 
-// runOnce performs a single end-of-state execution (checks without timers).
-func (cr *checkRunner) runOnce(ctx context.Context) {
-	cr.executeOnce(ctx)
-}
-
-func (cr *checkRunner) executeOnce(ctx context.Context) {
-	if cr.check.Analyze != nil {
-		cr.executeAnalysis(ctx)
-		return
+// evaluate performs one execution of c. It touches no runner state, so the
+// run loop can run it on a short-lived goroutine.
+func evaluate(ctx context.Context, c *core.Check) execResult {
+	if c.Analyze != nil {
+		v, err := c.Analyze.Analyze(ctx)
+		return execResult{verdict: v, err: err}
 	}
-	ok, err := cr.check.Eval.Evaluate(ctx)
-	cr.run.engine.mChecks.Inc()
+	ok, err := c.Eval.Evaluate(ctx)
+	return execResult{ok: ok, err: err}
+}
 
-	cr.mu.Lock()
+// start launches the next scheduled execution on a goroutine that reports
+// on finished.
+func (cr *checkRunner) start(ctx context.Context, idx int, finished chan<- execResult) {
+	cr.started++
+	cr.inflight = true
+	cr.due = cr.due.Add(cr.check.Interval)
+	c := cr.check
+	go func() {
+		res := evaluate(ctx, c)
+		res.check = idx
+		finished <- res
+	}()
+}
+
+// runOnce performs one execution in the run loop itself: the end-of-state
+// execution of a check without a timer, or the final fresh one a
+// statistical check gets when a sequential gate ends the state early. The
+// state is already ending, so an interrupt it asks for is not taken.
+func (cr *checkRunner) runOnce(ctx context.Context, r *Run, state string) {
+	cr.record(ctx, r, state, evaluate(ctx, cr.check))
+}
+
+// record tallies one finished execution, publishes it, and returns the
+// interrupt its result asks for, if any. ctx is the context the execution
+// ran under. A failed execution whose context was cancelled (by an
+// interrupt, an operator decision, pause, suspend, evict or abort) is
+// discarded whatever the check's kind: the aborted query says nothing
+// about the system, so it neither counts as a failure nor overwrites the
+// check's last real verdict.
+func (cr *checkRunner) record(ctx context.Context, r *Run, state string, res execResult) *interruptMsg {
+	cr.inflight = false
+	now := r.engine.clk.Now()
+	if now.After(cr.due) {
+		// This execution overran its successor's slot: the successor
+		// starts now, and the rest of the schedule moves back with it.
+		cr.due = now
+	}
+	if (res.err != nil || res.verdict.Err != "") && ctx.Err() != nil {
+		return nil
+	}
+	r.engine.mChecks.Inc()
 	cr.executions++
-	if err != nil {
-		cr.lastError = err.Error()
-		ok = false
-	}
-	if ok {
-		cr.successes++
-	} else {
-		cr.failures++
-	}
-	cr.mu.Unlock()
-
-	cr.run.publish(Event{
-		Type:    EventCheckExecuted,
-		State:   cr.currentState(),
-		Check:   cr.check.Name,
-		Outcome: boolToInt(ok),
-		Time:    cr.run.engine.clk.Now(),
-	})
-
-	// Exception semantics: a single failed execution triggers the state
-	// transition immediately (first failure wins; later ones are no-ops).
-	if !ok && cr.check.Kind == core.ExceptionCheck && cr.claimFire() {
-		cr.interrupt <- interruptMsg{target: cr.check.Fallback, cause: "exception"}
-		cr.run.publish(Event{
-			Type:   EventExceptionTriggered,
-			State:  cr.currentState(),
-			Check:  cr.check.Name,
-			Detail: cr.check.Fallback,
-			Time:   cr.run.engine.clk.Now(),
+	c := cr.check
+	if c.Analyze == nil {
+		ok := res.ok && res.err == nil
+		if res.err != nil {
+			cr.lastError = res.err.Error()
+		}
+		if ok {
+			cr.successes++
+		} else {
+			cr.failures++
+		}
+		r.publish(Event{
+			Type: EventCheckExecuted, State: state, Check: c.Name,
+			Outcome: boolToInt(ok), Time: now,
 		})
+		if ok || c.Kind != core.ExceptionCheck {
+			return nil
+		}
+		// Exception semantics: a single failed execution triggers the
+		// state transition immediately.
+		r.publish(Event{
+			Type: EventExceptionTriggered, State: state, Check: c.Name,
+			Detail: c.Fallback, Time: now,
+		})
+		return &interruptMsg{target: c.Fallback, cause: "exception"}
 	}
-}
 
-// claimFire reserves this runner's single interrupt send; only the first
-// caller wins. With the interrupt channel sized to the number of runners,
-// a claimed send is guaranteed buffer space and cannot wedge the runner.
-func (cr *checkRunner) claimFire() bool {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if cr.fired {
-		return false
-	}
-	cr.fired = true
-	return true
-}
-
-// executeAnalysis runs one execution of a statistical check: the analyzer
-// produces a Verdict, which is tallied, published, and — for sequential
-// conclusions and burn-rate alarms — turned into a state interrupt.
-func (cr *checkRunner) executeAnalysis(ctx context.Context) {
-	v, err := cr.check.Analyze.Analyze(ctx)
-	if ctx.Err() != nil {
-		// The state ended while the analysis was in flight (timer expiry,
-		// another check's interrupt, an operator decision). Discard this
-		// execution entirely: a query aborted mid-request must not
-		// overwrite the check's last real verdict with an inconclusive
-		// one right before the outcomes are aggregated.
-		return
-	}
-	cr.run.engine.mChecks.Inc()
-	if err != nil {
+	v := res.verdict
+	if res.err != nil {
 		// A broken analysis (misconfiguration, unreachable provider) is
 		// inconclusive for this execution; the error surfaces in status.
-		v = core.Verdict{Decision: core.DecisionContinue, Err: err.Error()}
+		v = core.Verdict{Decision: core.DecisionContinue, Err: res.err.Error()}
 	}
-
-	cr.mu.Lock()
-	cr.executions++
 	cr.lastVerdict = v
 	switch v.Decision {
 	case core.DecisionPass:
@@ -175,87 +177,54 @@ func (cr *checkRunner) executeAnalysis(ctx context.Context) {
 	if v.Err != "" {
 		cr.lastError = v.Err
 	}
-	firstConclusion := false
-	switch cr.check.Kind {
-	case core.SequentialCheck:
-		if v.Decision != core.DecisionContinue && !cr.concluded {
-			cr.concluded = true
-			firstConclusion = true
-		}
-	case core.ChangePointCheck:
-		// A changepoint check only ever concludes by detecting a shift; a
-		// stationary trajectory stays inconclusive until the state ends.
-		if v.Decision == core.DecisionFail && !cr.concluded {
-			cr.concluded = true
-			firstConclusion = true
-		}
-	}
-	cr.mu.Unlock()
-
-	now := cr.run.engine.clk.Now()
-	cr.run.publish(Event{
-		Type:    EventCheckExecuted,
-		State:   cr.currentState(),
-		Check:   cr.check.Name,
-		Outcome: boolToInt(v.Decision == core.DecisionPass),
-		Verdict: &v,
-		Time:    now,
+	r.publish(Event{
+		Type: EventCheckExecuted, State: state, Check: c.Name,
+		Outcome: boolToInt(v.Decision == core.DecisionPass), Verdict: &v, Time: now,
 	})
 
-	switch cr.check.Kind {
+	ev := Event{State: state, Check: c.Name, Detail: string(v.Decision), Verdict: &v, Time: now}
+	var intr *interruptMsg
+	switch c.Kind {
 	case core.SequentialCheck:
-		if !firstConclusion || !cr.claimFire() {
-			return
+		if v.Decision == core.DecisionContinue || cr.concluded {
+			return nil
 		}
 		// The gate concluded: end the state now. A failing conclusion
 		// with a configured fallback jumps there directly; otherwise the
 		// early end goes through the normal δ aggregation, where this
-		// check maps to 1 (pass) or 0 (fail). The conclusion event is
-		// published even when another runner's interrupt already ended the
-		// state: the decision was reached and must be observable.
-		msg := interruptMsg{cause: "sequential"}
+		// check maps to 1 (pass) or 0 (fail).
+		cr.concluded = true
+		ev.Type = EventCheckConcluded
+		intr = &interruptMsg{cause: "sequential"}
 		if v.Decision == core.DecisionFail {
-			msg.target = cr.check.Fallback
+			intr.target = c.Fallback
 		}
-		cr.interrupt <- msg
-		cr.run.publish(Event{
-			Type:    EventCheckConcluded,
-			State:   cr.currentState(),
-			Check:   cr.check.Name,
-			Detail:  string(v.Decision),
-			Verdict: &v,
-			Time:    now,
-		})
 	case core.ChangePointCheck:
-		if !firstConclusion || !cr.claimFire() {
-			return
+		// A changepoint check only ever concludes by detecting a shift; a
+		// stationary trajectory stays inconclusive until the state ends.
+		// A shift ends the state now, jumping straight to the fallback
+		// when one is configured, otherwise through δ where this check's
+		// verdict maps to 0.
+		if v.Decision != core.DecisionFail || cr.concluded {
+			return nil
 		}
-		// The trajectory shifted: end the state now, jumping straight to
-		// the fallback when one is configured, otherwise through δ where
-		// this check's verdict maps to 0.
-		cr.interrupt <- interruptMsg{target: cr.check.Fallback, cause: "changepoint"}
-		cr.run.publish(Event{
-			Type:    EventCheckConcluded,
-			State:   cr.currentState(),
-			Check:   cr.check.Name,
-			Detail:  string(v.Decision),
-			Verdict: &v,
-			Time:    now,
-		})
+		cr.concluded = true
+		ev.Type = EventCheckConcluded
+		intr = &interruptMsg{target: c.Fallback, cause: "changepoint"}
 	case core.BurnRateCheck:
-		if v.Decision != core.DecisionFail || !cr.claimFire() {
-			return
+		if v.Decision != core.DecisionFail {
+			return nil
 		}
-		cr.interrupt <- interruptMsg{target: cr.check.Fallback, cause: "burnrate"}
-		cr.run.publish(Event{
-			Type:    EventBurnRateTriggered,
-			State:   cr.currentState(),
-			Check:   cr.check.Name,
-			Detail:  cr.check.Fallback,
-			Verdict: &v,
-			Time:    now,
-		})
+		ev.Type, ev.Detail = EventBurnRateTriggered, c.Fallback
+		intr = &interruptMsg{target: c.Fallback, cause: "burnrate"}
+	default:
+		return nil
 	}
+	// The conclusion is published even when another check's interrupt
+	// already ended the state: the decision was reached and must be
+	// observable.
+	r.publish(ev)
+	return intr
 }
 
 // mappedOutcome aggregates the execution results (Σ f_j) and maps basic
@@ -264,12 +233,8 @@ func (cr *checkRunner) executeAnalysis(ctx context.Context) {
 // Statistical checks contribute their latest verdict: pass → 1, fail → 0,
 // still-continue → InconclusivePass.
 func (cr *checkRunner) mappedOutcome() (int, error) {
-	cr.mu.Lock()
-	successes := cr.successes
-	verdict := cr.lastVerdict
-	cr.mu.Unlock()
 	if cr.check.Kind.Statistical() {
-		switch verdict.Decision {
+		switch cr.lastVerdict.Decision {
 		case core.DecisionPass:
 			return 1, nil
 		case core.DecisionFail:
@@ -282,14 +247,12 @@ func (cr *checkRunner) mappedOutcome() (int, error) {
 		}
 	}
 	if cr.check.Kind == core.ExceptionCheck {
-		return successes, nil
+		return cr.successes, nil
 	}
-	return cr.check.MapOutcome(successes)
+	return cr.check.MapOutcome(cr.successes)
 }
 
 func (cr *checkRunner) snapshot() CheckStatus {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
 	st := CheckStatus{
 		Name:         cr.check.Name,
 		Kind:         cr.check.Kind.String(),
@@ -304,20 +267,6 @@ func (cr *checkRunner) snapshot() CheckStatus {
 		st.Verdict = &v
 	}
 	return st
-}
-
-// hasConcluded reports whether a sequential or changepoint check has
-// reached its sticky decision.
-func (cr *checkRunner) hasConcluded() bool {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.concluded
-}
-
-func (cr *checkRunner) currentState() string {
-	cr.run.mu.Lock()
-	defer cr.run.mu.Unlock()
-	return cr.run.status.Current
 }
 
 func boolToInt(b bool) int {

@@ -514,11 +514,9 @@ func (c *Cluster) Handler(next http.Handler) http.Handler {
 			return
 		}
 		switch {
-		case r.Method == http.MethodPost &&
-			(r.URL.Path == "/api/v2/runs" || r.URL.Path == "/api/v1/strategies"):
+		case r.Method == http.MethodPost && r.URL.Path == "/api/v2/runs":
 			c.handleSchedule(w, r, next)
-		case r.Method == http.MethodGet &&
-			(r.URL.Path == "/api/v2/runs" || r.URL.Path == "/api/v1/strategies"):
+		case r.Method == http.MethodGet && r.URL.Path == "/api/v2/runs":
 			c.handleList(w, r, next)
 		case r.Method == http.MethodGet && r.URL.Path == "/api/v2/events/stream" &&
 			r.URL.Query().Get("strategy") != "":
@@ -531,15 +529,14 @@ func (c *Cluster) Handler(next http.Handler) http.Handler {
 
 // runScopedPath extracts the run name from a run-scoped API path.
 func runScopedPath(path string) (string, bool) {
-	for _, prefix := range []string{"/api/v2/runs/", "/api/v1/strategies/"} {
-		if rest, ok := strings.CutPrefix(path, prefix); ok && rest != "" {
-			if i := strings.IndexByte(rest, '/'); i >= 0 {
-				rest = rest[:i]
-			}
-			return rest, rest != ""
-		}
+	rest, ok := strings.CutPrefix(path, "/api/v2/runs/")
+	if !ok {
+		return "", false
 	}
-	return "", false
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest, rest != ""
 }
 
 // route serves the request locally when this replica owns name, else

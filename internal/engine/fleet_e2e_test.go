@@ -39,12 +39,16 @@ func startReplica(t *testing.T, addr string) *replicaServer {
 	return &replicaServer{t: t, addr: srv.Addr(), p: p, srv: srv}
 }
 
-// kill stops the replica: admin API unreachable, all state lost.
+// kill stops the replica: admin API unreachable, all state lost. It drops
+// every connection at once, as a killed process does, rather than shutting
+// down gracefully. A graceful Shutdown waits out connections in the
+// StateNew state for up to 5 s: the engine's HTTP transport dials one when
+// two requests to a replica race, and the request it was dialed for is
+// served by an idle connection freed meanwhile, so the new connection
+// never carries a request.
 func (rs *replicaServer) kill() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rs.srv.Shutdown(ctx); err != nil {
-		rs.t.Logf("replica shutdown: %v", err)
+	if err := rs.srv.Close(); err != nil {
+		rs.t.Logf("replica close: %v", err)
 	}
 	rs.p.Close()
 }
@@ -144,16 +148,30 @@ strategy:
 		t.Fatal("run not registered")
 	}
 
-	// All three replicas receive the canary phase's routing.
-	awaitEvent(t, events, "routing_applied", func(ev Event) bool {
+	// routing_applied means a quorum of replicas (2 of 3) acked the canary
+	// phase's routing; the push to the third may still be in flight.
+	applied := awaitEvent(t, events, "routing_applied", func(ev Event) bool {
 		return ev.Type == EventRoutingApplied && ev.State == "canary"
 	})
-	canaryGen := int64(0)
-	for i, rs := range replicas {
-		if g := rs.generation(); g <= 0 {
-			t.Fatalf("replica %d generation = %d after state entry", i, g)
-		} else {
-			canaryGen = g
+	canaryGen := applied.Generation
+	if canaryGen <= 0 {
+		t.Fatalf("routing_applied carries generation %d", canaryGen)
+	}
+	atGen := func() (n int) {
+		for _, rs := range replicas {
+			if rs.generation() >= canaryGen {
+				n++
+			}
+		}
+		return n
+	}
+	if n := atGen(); n < 2 {
+		t.Fatalf("%d replicas at generation %d at routing_applied, want a quorum of 2", n, canaryGen)
+	}
+	// All three replicas then receive it.
+	for deadline := time.Now().Add(5 * time.Second); atGen() < len(replicas); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d replicas reached generation %d", atGen(), len(replicas), canaryGen)
 		}
 	}
 

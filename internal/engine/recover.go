@@ -333,6 +333,12 @@ func (e *Engine) resumePartition(part *partitionReplay) (*RunRecovery, error) {
 		prior += part.lastTime.Sub(anchor)
 	}
 	st.Recovered = true
+	if !st.EnteredAt.IsZero() {
+		// The run is visible from registerRun on, before its loop re-enters
+		// the state: rebase EnteredAt now so no status read in between
+		// counts the downtime as time in the phase.
+		st.EnteredAt = e.clk.Now().Add(-elapsed)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Run{
 		engine:   e,

@@ -786,3 +786,59 @@ func TestShutdownEnactRaceStress(t *testing.T) {
 		t.Errorf("Enact after Shutdown = %v, want ErrEngineClosed", err)
 	}
 }
+
+// TestRecoveredStatusExcludesDowntimeFromTheStart: a recovered run is
+// visible from the moment it is registered, before its loop publishes
+// anything. Its status must already show the preserved elapsed time, not
+// the crash-time EnteredAt that would count the downtime as time in the
+// phase. Holding the publish pipeline keeps the loop from its first event
+// while the status is read.
+func TestRecoveredStatusExcludesDowntimeFromTheStart(t *testing.T) {
+	strategy, err := dsl.Compile(holdStrategy)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	dir := t.TempDir()
+	clk := clock.NewManual(time.Date(2026, 7, 30, 9, 0, 0, 0, time.UTC))
+
+	eng1 := New(WithClock(clk), WithJournalSet(openTestJournal(t, dir)))
+	if _, err := eng1.EnactSource(strategy, holdStrategy); err != nil {
+		t.Fatalf("EnactSource: %v", err)
+	}
+	r1, _ := eng1.Run("hold-run")
+	eventually(t, "canary entered", func() bool { return r1.Status().Current == "canary" })
+	clk.Advance(10 * time.Minute)
+	now := clk.Now()
+	eventually(t, "journal clock advanced", func() bool {
+		eng1.pubMu.Lock()
+		defer eng1.pubMu.Unlock()
+		return !eng1.mirror.LastTime.Before(now)
+	})
+	eng1.Suspend()
+	clk.Advance(time.Hour)
+
+	eng2 := New(WithClock(clk), WithJournalSet(openTestJournal(t, dir)))
+	defer eng2.Shutdown()
+	part, err := eng2.replayPartition("hold-run", dsl.Compile, eng2.fenceFor("hold-run"))
+	if err != nil || part == nil {
+		t.Fatalf("replay: %v (partition %v)", err, part)
+	}
+	eng2.pubMu.Lock()
+	rr, err := eng2.resumePartition(part)
+	if err != nil || !rr.Resumed {
+		eng2.pubMu.Unlock()
+		t.Fatalf("resume: %v (%+v)", err, rr)
+	}
+	st := rr.Run.Status()
+	eng2.pubMu.Unlock()
+	if !st.Recovered {
+		t.Fatalf("status before the loop's first event = %+v, want recovered", st)
+	}
+	if elapsed := clk.Now().Sub(st.EnteredAt); elapsed != 10*time.Minute {
+		t.Fatalf("elapsed in canary before the loop's first event = %v, want 10m (downtime excluded)", elapsed)
+	}
+	waitReentries(t, eng2, "hold-run", 2)
+	if elapsed := clk.Now().Sub(rr.Run.Status().EnteredAt); elapsed != 10*time.Minute {
+		t.Fatalf("elapsed in canary after the re-entry = %v, want 10m", elapsed)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bifrost/internal/clock"
 	"bifrost/internal/core"
 	"bifrost/internal/metrics"
 )
@@ -588,7 +589,7 @@ func (r *Run) enterState(ctx context.Context, state *core.State) error {
 // book is false on a pause/resume re-entry, whose specified duration was
 // already accounted for. elapsed is the time already spent in this state
 // before an engine restart: the state timer runs only for the remainder,
-// while checks re-arm their full schedules.
+// and the checks schedule the executions that fit in it.
 func (r *Run) executeState(ctx context.Context, state *core.State, book bool,
 	elapsed time.Duration) (stepResult, error) {
 
@@ -605,68 +606,101 @@ func (r *Run) executeState(ctx context.Context, state *core.State, book bool,
 	stateCtx, cancelState := context.WithCancel(ctx)
 	defer cancelState()
 
-	// One buffer slot per check: every runner fires at most one interrupt
-	// (claimFire), so a send can never block or be lost even when several
-	// runners conclude simultaneously.
-	interrupt := make(chan interruptMsg, max(1, len(state.Checks)))
-	runners := make([]*checkRunner, 0, len(state.Checks))
-	var wg sync.WaitGroup
-	for i := range state.Checks {
-		c := &state.Checks[i]
-		cr := newCheckRunner(r, c, interrupt)
-		runners = append(runners, cr)
-		if c.Interval > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cr.runTimed(stateCtx, clk)
-			}()
-		}
-	}
-
-	allDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(allDone)
-	}()
-
-	// The state ends when: its explicit duration elapses; otherwise when
-	// every timed check finishes; an exception, burnrate, or concluding
-	// sequential check interrupts; an operator issues a gate decision or
-	// pause; or the run is aborted.
-	var timerC <-chan time.Time
-	allDoneC := allDone
+	var window time.Duration
+	var phaseC <-chan time.Time
 	if state.Duration > 0 {
-		remaining := state.Duration - elapsed
-		if remaining < time.Nanosecond {
-			// The recorded elapsed time already covers the whole phase; the
-			// timer fires immediately and δ decides on the re-armed checks.
-			remaining = time.Nanosecond
-		}
-		timer := clk.NewTimer(remaining)
+		// When the recorded elapsed time already covers the whole phase,
+		// the timer fires at once and δ decides on one execution per check.
+		window = max(state.Duration-elapsed, time.Nanosecond)
+		timer := clk.NewTimer(window)
 		defer timer.Stop()
-		timerC = timer.C()
-		allDoneC = nil // explicit duration governs even if checks finish early
+		phaseC = timer.C()
 	}
 
+	// One schedule for all the state's checks: the loop keeps one timer
+	// for the next due execution, runs each execution on a short-lived
+	// goroutine, and alone records the results. A check has at most one
+	// execution in flight, so a send on finished never blocks.
+	entry := clk.Now()
+	runners := make([]*checkRunner, len(state.Checks))
+	pending := 0 // scheduled executions not yet finished
+	for i := range state.Checks {
+		runners[i] = newCheckRunner(&state.Checks[i], entry, window)
+		pending += runners[i].scheduled
+	}
+	finished := make(chan execResult, len(runners))
+	inflight := 0
+	var due clock.Timer
+	var dueAt time.Time
+	var dueC <-chan time.Time
+	defer func() {
+		if due != nil {
+			due.Stop()
+		}
+	}()
+	// schedule starts every execution that is due and arms the timer for
+	// the earliest one that is not, keeping the armed timer when that time
+	// has not changed (checks that share an interval come due together).
+	schedule := func() {
+		now := clk.Now()
+		var next time.Time
+		for i, cr := range runners {
+			switch {
+			case cr.inflight || cr.started == cr.scheduled:
+			case !cr.due.After(now):
+				cr.start(stateCtx, i, finished)
+				inflight++
+			case next.IsZero() || cr.due.Before(next):
+				next = cr.due
+			}
+		}
+		if due != nil && !next.Equal(dueAt) {
+			due.Stop()
+			due, dueC = nil, nil
+		}
+		if due == nil && !next.IsZero() {
+			due, dueAt = clk.NewTimer(next.Sub(now)), next
+			dueC = due.C()
+		}
+	}
+	// halt cancels the executions in flight and waits for them. Those that
+	// finished regardless are recorded, but the state is already ending,
+	// so an interrupt they ask for is not taken.
+	halt := func() {
+		cancelState()
+		for ; inflight > 0; inflight-- {
+			res := <-finished
+			runners[res.check].record(stateCtx, r, state.ID, res)
+		}
+	}
+
+	// The state ends when its timer (if it has a duration) has fired and
+	// every scheduled execution has finished, so an execution started
+	// before the end counts; or earlier, when an exception, burnrate,
+	// changepoint or concluding sequential check interrupts, an operator
+	// issues a gate decision or pause, or the run is suspended, evicted
+	// or aborted.
+	schedule()
+	timerFired := phaseC == nil
 	var intr *interruptMsg
-wait:
-	for {
+	for intr == nil && !(timerFired && pending == 0) {
 		select {
-		case <-timerC:
-			break wait
-		case <-allDoneC:
-			break wait
-		case msg := <-interrupt:
-			intr = &msg
-			break wait
+		case <-phaseC:
+			timerFired = true
+		case <-dueC:
+			due, dueC = nil, nil
+			schedule()
+		case res := <-finished:
+			inflight--
+			pending--
+			if intr = runners[res.check].record(stateCtx, r, state.ID, res); intr == nil {
+				schedule()
+			}
 		case <-r.engine.stopping:
-			cancelState()
-			wg.Wait()
+			halt()
 			return stepResult{}, errSuspended
 		case <-r.evicted:
-			cancelState()
-			wg.Wait()
+			halt()
 			return stepResult{}, errSuspended
 		case msg := <-r.controls:
 			switch msg.kind {
@@ -678,14 +712,12 @@ wait:
 					msg.reply <- ctrlReply{err: err}
 					continue
 				}
-				cancelState()
-				wg.Wait()
+				halt()
 				r.publishGateDecision(state, msg.kind, target)
 				msg.reply <- ctrlReply{}
 				return stepResult{next: target, cause: msg.kind.String()}, nil
 			case ctrlPause:
-				cancelState()
-				wg.Wait()
+				halt()
 				gen := r.beginPause(state)
 				msg.reply <- ctrlReply{gen: gen}
 				return r.pausedWait(ctx, state, gen)
@@ -694,10 +726,7 @@ wait:
 			return stepResult{}, ctx.Err()
 		}
 	}
-
-	// Stop timed checks and wait for them so counts are settled.
-	cancelState()
-	wg.Wait()
+	halt()
 
 	if intr != nil && intr.target != "" {
 		// Exception/burn-rate semantics: jump immediately to the named
@@ -710,13 +739,12 @@ wait:
 	// Execute end-of-state checks (no timer: run once now), then
 	// aggregate the weighted outcome and fire δ. When a sequential check
 	// ended the state early, the other outcome-gating statistical checks'
-	// schedules were cancelled mid-flight — give each unconcluded one a
-	// final fresh execution so the aggregation sees its verdict as of
-	// *now* rather than a stale mid-schedule "continue" that would
-	// spuriously fail the phase the gate just passed. Interrupt-only
-	// kinds (burnrate) are excluded: their interrupt channel is no longer
-	// read here, so re-executing them could announce a rollback that
-	// never happens.
+	// schedules were cut short — give each unconcluded one a final fresh
+	// execution so the aggregation sees its verdict as of *now* rather
+	// than a stale mid-schedule "continue" that would spuriously fail the
+	// phase the gate just passed. Interrupt-only kinds (burnrate) are
+	// excluded: their interrupt is no longer taken here, so re-executing
+	// them could announce a rollback that never happens.
 	earlyConcluded := intr != nil
 	results := make([]int, len(state.Checks))
 	r.mu.Lock()
@@ -725,8 +753,8 @@ wait:
 	for i, cr := range runners {
 		kind := state.Checks[i].Kind
 		if state.Checks[i].Interval <= 0 ||
-			(earlyConcluded && kind.Statistical() && !kind.InterruptOnly() && !cr.hasConcluded()) {
-			cr.runOnce(ctx)
+			(earlyConcluded && kind.Statistical() && !kind.InterruptOnly() && !cr.concluded) {
+			cr.runOnce(ctx, r, state.ID)
 		}
 		mapped, err := cr.mappedOutcome()
 		if err != nil {

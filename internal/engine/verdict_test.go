@@ -576,7 +576,7 @@ func TestCancelledAnalysisDiscarded(t *testing.T) {
 		return core.Verdict{Decision: core.DecisionContinue, Err: ctx.Err().Error()}, nil
 	})
 	check := &core.Check{Name: "g", Kind: core.CompareCheck, Analyze: blocked}
-	cr := newCheckRunner(r, check, make(chan interruptMsg, 1))
+	cr := newCheckRunner(check, time.Time{}, 0)
 	cr.lastVerdict = core.Verdict{Decision: core.DecisionPass}
 	cr.executions, cr.successes = 1, 1
 
@@ -585,7 +585,7 @@ func TestCancelledAnalysisDiscarded(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	cr.executeOnce(ctx)
+	cr.runOnce(ctx, r, "")
 
 	st := cr.snapshot()
 	if st.Executions != 1 || st.Inconclusive != 0 {

@@ -140,6 +140,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srvErr
 }
 
+// Close stops a started server at once, as a killed process would: the
+// listener and every connection are closed, whatever their state, and
+// Close waits for the serve goroutine.
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	<-s.done
+	return err
+}
+
 // Client is a shared HTTP client with timeouts suitable for control-plane
 // calls between Bifrost components on a local network.
 var Client = &http.Client{
