@@ -89,10 +89,11 @@ type (
 // implementations by kind, then pass it to NewEngine via WithTargets.
 func NewTargetRegistry() *TargetRegistry { return target.NewRegistry() }
 
-// NewProxyFleetTarget wraps the default HTTP proxy-fleet delivery as a
-// registrable target (conventionally under kind "proxy").
+// NewProxyFleetTarget returns the default HTTP proxy fleet, a registrable
+// target (conventionally under kind "proxy") that also settles, gates and
+// paces its anti-entropy reconciler.
 func NewProxyFleetTarget() Target {
-	return engine.NewProxyTarget(engine.NewFleetConfigurator())
+	return engine.NewFleetConfigurator()
 }
 
 // CompileStrategy compiles YAML DSL source into a validated strategy,
@@ -127,16 +128,13 @@ type Compiler = dsl.Compiler
 // examples, single-binary setups).
 func NewEngine(opts ...EngineOption) *Engine {
 	cfg := engineConfig{
-		configurator: engine.NewFleetConfigurator(),
-		clk:          clock.Real{},
+		enact: engine.WithConfigurator(engine.NewFleetConfigurator()),
+		clk:   clock.Real{},
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	engOpts := []engine.Option{
-		engine.WithConfigurator(cfg.configurator),
-		engine.WithClock(cfg.clk),
-	}
+	engOpts := []engine.Option{cfg.enact, engine.WithClock(cfg.clk)}
 	if cfg.registry != nil {
 		engOpts = append(engOpts, engine.WithRegistry(cfg.registry))
 	}
@@ -144,9 +142,10 @@ func NewEngine(opts ...EngineOption) *Engine {
 }
 
 type engineConfig struct {
-	configurator engine.Configurator
-	clk          clock.Clock
-	registry     *metrics.Registry
+	// enact selects the enactment targets.
+	enact    engine.Option
+	clk      clock.Clock
+	registry *metrics.Registry
 }
 
 // EngineOption configures NewEngine.
@@ -157,20 +156,20 @@ type EngineOption func(*engineConfig)
 // fleet with retries, and a per-run reconciler re-pushes the current
 // generation to replicas that lag or restart mid-phase.
 func WithHTTPProxies() EngineOption {
-	return func(c *engineConfig) { c.configurator = engine.NewFleetConfigurator() }
+	return func(c *engineConfig) { c.enact = engine.WithConfigurator(engine.NewFleetConfigurator()) }
 }
 
 // WithLocalProxies delivers routing updates directly to in-process proxies
 // registered on the returned registrar.
 func WithLocalProxies(reg *LocalProxies) EngineOption {
-	return func(c *engineConfig) { c.configurator = reg.lc }
+	return func(c *engineConfig) { c.enact = engine.WithConfigurator(reg.lc) }
 }
 
 // WithTargets dispatches each service's routing to the enactment target
 // its deployment selects (`target:` kind), resolved from the registry.
 // Services without an explicit kind use "proxy".
 func WithTargets(reg *TargetRegistry) EngineOption {
-	return func(c *engineConfig) { c.configurator = engine.NewTargetConfigurator(reg) }
+	return func(c *engineConfig) { c.enact = engine.WithTargets(reg) }
 }
 
 // LocalProxies registers in-process proxies by service name.

@@ -92,7 +92,7 @@ func run() error {
 	flagStore := flagtarget.NewStore(flagtarget.WithReconcileInterval(*reconcileEvery))
 	targets := target.NewRegistry()
 	for kind, t := range map[string]target.Target{
-		target.KindProxy:   engine.NewProxyTarget(fleet),
+		target.KindProxy:   fleet,
 		target.KindFlag:    flagStore,
 		target.KindCommand: &command.Runner{},
 	} {
@@ -100,9 +100,8 @@ func run() error {
 			return err
 		}
 	}
-	configurator := engine.NewTargetConfigurator(targets)
 	opts := []engine.Option{
-		engine.WithConfigurator(configurator),
+		engine.WithTargets(targets),
 		engine.WithRegistry(registry),
 	}
 	if *journalDir != "" {

@@ -152,3 +152,93 @@ func TestDocsLinkTargetsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCIRunPatternsMatchTests keeps the CI workflow's focused steps
+// honest: `go test -run X` passes silently when X matches no test, so a
+// renamed or deleted test would drop out of its step unnoticed. Every
+// |-separated alternative of every -run pattern in ci.yml must match a
+// `func Test…` in that command's package arguments.
+func TestDocsCIRunPatternsMatchTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`\s-run\s+(?:'([^']*)'|(\S+))`)
+	pkgArg := regexp.MustCompile(`(?:^|\s)(\./\S*)`)
+	patterns := 0
+	for _, line := range strings.Split(string(ci), "\n") {
+		m := runFlag.FindStringSubmatch(line)
+		if m == nil || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		pattern := m[1] + m[2]
+		var names []string
+		for _, pkg := range pkgArg.FindAllStringSubmatch(line, -1) {
+			names = append(names, testFuncs(t, filepath.Join(root, pkg[1]))...)
+		}
+		if len(names) == 0 {
+			t.Errorf("ci.yml: no tests in the packages of %q", strings.TrimSpace(line))
+			continue
+		}
+		patterns++
+		for _, alt := range strings.Split(pattern, "|") {
+			// -run splits on '/' into per-level patterns; the first one
+			// selects top-level tests.
+			re, err := regexp.Compile(strings.Split(alt, "/")[0])
+			if err != nil {
+				t.Errorf("ci.yml: bad -run alternative %q: %v", alt, err)
+				continue
+			}
+			matched := false
+			for _, name := range names {
+				if re.MatchString(name) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				t.Errorf("ci.yml: -run alternative %q matches no test in %q", alt, strings.TrimSpace(line))
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Fatal("found no -run patterns in ci.yml")
+	}
+}
+
+// testFuncs lists the top-level test functions of the package in dir, or of
+// every package under it for a Go `/...` pattern.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	recursive := strings.HasSuffix(dir, "...")
+	dir = strings.TrimSuffix(dir, "...")
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != filepath.Clean(dir) && !recursive {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Errorf("listing tests under %s: %v", dir, err)
+	}
+	return names
+}

@@ -488,10 +488,11 @@ func (e *Engine) ServeEventStream(w http.ResponseWriter, r *http.Request, strate
 		return afterSeq, true
 	}
 
-	// A purely live stream (no resume, no replay) starts at the current
-	// sequence: gap backfill then only ever replays events published after
-	// the client connected, never historical ones.
-	lastSeq := e.bus.currentSeq()
+	// A purely live stream (no resume, no replay) starts at the
+	// subscription's sequence: gap backfill then only ever replays events
+	// published after the client connected, never historical ones, and an
+	// event published while the headers were flushed is delivered live.
+	lastSeq := subSeq
 	if id := lastEventID(r); id > 0 {
 		if id > e.bus.currentSeq() {
 			// The client is ahead of this engine's sequence: the engine

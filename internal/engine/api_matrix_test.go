@@ -50,7 +50,7 @@ func matrixFixture(t *testing.T) (*Engine, *Client) {
 	if err := reg.Register(target.KindFlag, &recordingTarget{}); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(WithConfigurator(NewTargetConfigurator(reg)))
+	eng := New(WithTargets(reg))
 	t.Cleanup(eng.Shutdown)
 	expand := func(src string) ([]ExpandedStrategy, error) {
 		runs, err := dsl.CompileAll(src)

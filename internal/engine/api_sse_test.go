@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -335,5 +337,68 @@ func TestSSEStreamBackfillsSlowSubscriberDrops(t *testing.T) {
 			t.Fatalf("silent gap in stream: %d then %d", prev, ev.Seq)
 		}
 		prev = ev.Seq
+	}
+}
+
+// publishOnFlushWriter is a streaming ResponseWriter whose first Flush —
+// the one that sends the stream's headers, which is when a client's Watch
+// returns — runs onFirstFlush, so an event lands exactly in the window
+// between the stream's subscription and its first read.
+type publishOnFlushWriter struct {
+	header       http.Header
+	onFirstFlush func()
+	flushed      bool
+
+	mu   sync.Mutex
+	body strings.Builder
+}
+
+func (w *publishOnFlushWriter) Header() http.Header { return w.header }
+func (w *publishOnFlushWriter) WriteHeader(int)     {}
+
+func (w *publishOnFlushWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+func (w *publishOnFlushWriter) Flush() {
+	if !w.flushed {
+		w.flushed = true
+		w.onFirstFlush()
+	}
+}
+
+func (w *publishOnFlushWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.String()
+}
+
+// TestSSELiveStreamKeepsEventsPublishedWhileStarting: an event published
+// after the stream subscribed but before it began reading is live, not
+// history, and must be delivered.
+func TestSSELiveStreamKeepsEventsPublishedWhileStarting(t *testing.T) {
+	eng := New()
+	defer eng.Shutdown()
+	w := &publishOnFlushWriter{header: http.Header{}, onFirstFlush: func() {
+		eng.PublishBench(Event{Strategy: "starting", Type: EventStateEntered,
+			State: "canary", Time: time.Now()})
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/api/v2/events/stream", nil).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.ServeEventStream(w, req, "starting", 0)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(w.String(), "event: state_entered") && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	<-done
+	if !strings.Contains(w.String(), "event: state_entered") {
+		t.Fatalf("state_entered published while the stream started was dropped; stream:\n%s", w.String())
 	}
 }

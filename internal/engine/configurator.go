@@ -7,30 +7,10 @@ import (
 	"strings"
 	"sync"
 
-	"bifrost/internal/clock"
 	"bifrost/internal/core"
 	"bifrost/internal/proxy"
+	"bifrost/internal/target"
 )
-
-// Configurator delivers a state's dynamic routing configuration to the
-// proxy fronting the affected service. The engine calls Configure once per
-// routing config whenever the automaton enters a state.
-type Configurator interface {
-	Configure(ctx context.Context, s *core.Strategy, state *core.State,
-		rc core.RoutingConfig, generation int64) error
-}
-
-// NopConfigurator ignores routing updates; useful for model-only engines
-// and the pure-scalability experiments (§5.2 removes app load entirely).
-type NopConfigurator struct{}
-
-var _ Configurator = NopConfigurator{}
-
-// Configure implements Configurator.
-func (NopConfigurator) Configure(context.Context, *core.Strategy, *core.State,
-	core.RoutingConfig, int64) error {
-	return nil
-}
 
 // BuildProxyConfig materializes a core.RoutingConfig into the wire config a
 // proxy consumes, resolving version names to endpoints. The rendering is
@@ -99,15 +79,16 @@ func endpointURL(endpoint string) string {
 	return "http://" + endpoint
 }
 
-// LocalConfigurator pushes configs directly into in-process proxies, used
+// LocalConfigurator is the enactment target for in-process proxies, used
 // by tests, examples and the experiment harness (everything runs on one
 // machine, like the paper's Docker Swarm but without the containers).
+// Each push lands synchronously, so there is no convergence to report.
 type LocalConfigurator struct {
 	mu      sync.RWMutex
 	proxies map[string]*proxy.Proxy
 }
 
-var _ Configurator = (*LocalConfigurator)(nil)
+var _ target.Target = (*LocalConfigurator)(nil)
 
 // NewLocalConfigurator creates an empty local configurator.
 func NewLocalConfigurator() *LocalConfigurator {
@@ -121,8 +102,8 @@ func (lc *LocalConfigurator) Register(service string, p *proxy.Proxy) {
 	lc.mu.Unlock()
 }
 
-// Configure implements Configurator.
-func (lc *LocalConfigurator) Configure(ctx context.Context, s *core.Strategy,
+// Apply implements target.Target.
+func (lc *LocalConfigurator) Apply(ctx context.Context, s *core.Strategy,
 	state *core.State, rc core.RoutingConfig, generation int64) error {
 	lc.mu.RLock()
 	p, ok := lc.proxies[rc.Service]
@@ -137,41 +118,10 @@ func (lc *LocalConfigurator) Configure(ctx context.Context, s *core.Strategy,
 	return p.SetConfig(cfg)
 }
 
-// HTTPConfigurator pushes configs to remote proxies over their admin API,
-// using the proxy locations from the strategy's deployment section. Every
-// push is bounded by a per-attempt timeout and transient failures are
-// retried with exponential backoff (Retry), so one flaky admin call or a
-// hung proxy can no longer fail — or wedge — a multi-day run. Services
-// with multiple proxy replicas are delivered to every replica and all must
-// ack; use FleetConfigurator for quorum semantics and background
-// anti-entropy reconciliation.
-type HTTPConfigurator struct {
-	// Retry bounds and retries each replica push; zero-value fields take
-	// the DefaultRetryPolicy defaults.
-	Retry RetryPolicy
-	// Clock drives the retry backoff waits; nil means the real clock.
-	// (FleetConfigurator gets the engine clock via New; this value type
-	// takes it explicitly.)
-	Clock clock.Clock
+// Convergence implements target.Target: in-process pushes never lag.
+func (lc *LocalConfigurator) Convergence(context.Context, string) []target.Convergence {
+	return nil
 }
 
-var _ Configurator = HTTPConfigurator{}
-
-// Configure implements Configurator.
-func (hc HTTPConfigurator) Configure(ctx context.Context, s *core.Strategy,
-	state *core.State, rc core.RoutingConfig, generation int64) error {
-	svc, ok := s.FindService(rc.Service)
-	if !ok {
-		return fmt.Errorf("engine: routing for unknown service %q", rc.Service)
-	}
-	endpoints := svc.ProxyEndpoints()
-	if len(endpoints) == 0 {
-		return fmt.Errorf("engine: service %q has no proxy URL in deployment", rc.Service)
-	}
-	cfg, err := BuildProxyConfig(s, rc, generation)
-	if err != nil {
-		return err
-	}
-	return deliver(ctx, clockOrReal(hc.Clock), dialProxy, endpoints, cfg,
-		hc.Retry.withDefaults(), len(endpoints), nil)
-}
+// Retire implements target.Target; the proxies keep their last routing.
+func (lc *LocalConfigurator) Retire(string) {}

@@ -33,6 +33,7 @@ import (
 	"bifrost/internal/core"
 	"bifrost/internal/journal"
 	"bifrost/internal/metrics"
+	"bifrost/internal/target"
 )
 
 // Common engine errors. The API layer maps each to a machine-readable
@@ -69,11 +70,13 @@ var errSuspended = errors.New("engine: suspended")
 // run and waits for the run loops to exit, while Suspend stops them without
 // terminal records so a journal-backed restart resumes them.
 type Engine struct {
-	clk          clock.Clock
-	registry     *metrics.Registry
-	configurator Configurator
-	bus          *eventBus
-	ringSize     int
+	clk      clock.Clock
+	registry *metrics.Registry
+	// targets maps each service's `target:` kind to the backend that
+	// enacts its routing; runs resolve their services against it.
+	targets  *target.Registry
+	bus      *eventBus
+	ringSize int
 
 	mu     sync.Mutex
 	runs   map[string]*Run
@@ -135,9 +138,20 @@ func WithRegistry(r *metrics.Registry) Option {
 	return func(e *Engine) { e.registry = r }
 }
 
-// WithConfigurator sets how routing configs reach the proxies.
-func WithConfigurator(c Configurator) Option {
-	return func(e *Engine) { e.configurator = c }
+// WithConfigurator enacts routing through t alone, registered as the
+// "proxy" kind; services of any other kind fail with the unknown-kind
+// error. Use WithTargets for several kinds.
+func WithConfigurator(t target.Target) Option {
+	return func(e *Engine) {
+		e.targets = target.NewRegistry()
+		_ = e.targets.Register(target.KindProxy, t)
+	}
+}
+
+// WithTargets dispatches each service's routing to the target its
+// deployment's `target:` kind selects in reg (default kind "proxy").
+func WithTargets(reg *target.Registry) Option {
+	return func(e *Engine) { e.targets = reg }
 }
 
 // WithJournalSet attaches the durable run journal, partitioned per run:
@@ -149,14 +163,9 @@ func WithJournalSet(s *journal.Set) Option {
 	return func(e *Engine) { e.journals = s }
 }
 
-// OpenJournal opens dir as a per-run partitioned journal set wired with the
-// engine's snapshot schema, migrating a pre-partition single-directory
-// journal in place if one is found.
+// OpenJournal opens dir as a per-run partitioned journal set.
 func OpenJournal(dir string, opts journal.Options) (*journal.Set, error) {
-	return journal.OpenSet(dir, journal.SetOptions{
-		Journal:       opts,
-		SplitSnapshot: splitMirrorSnapshot,
-	})
+	return journal.OpenSet(dir, journal.SetOptions{Journal: opts})
 }
 
 // WithHeartbeatInterval overrides the heartbeat cadence (default 30s):
@@ -203,17 +212,16 @@ func WithEventRingSize(n int) Option {
 }
 
 // New creates an engine. By default it uses the real clock, a private
-// metrics registry, and a no-op configurator.
+// metrics registry, and targets that accept routing and drop it.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		clk:          clock.Real{},
-		registry:     metrics.NewRegistry(),
-		configurator: NopConfigurator{},
-		ringSize:     1024,
-		runs:         make(map[string]*Run, 8),
-		stopping:     make(chan struct{}),
-		mirror:       newEngineMirror(),
-		hbEvery:      journalHeartbeatInterval,
+		clk:      clock.Real{},
+		registry: metrics.NewRegistry(),
+		ringSize: 1024,
+		runs:     make(map[string]*Run, 8),
+		stopping: make(chan struct{}),
+		mirror:   newEngineMirror(),
+		hbEvery:  journalHeartbeatInterval,
 	}
 	for _, o := range opts {
 		o(e)
@@ -221,10 +229,19 @@ func New(opts ...Option) *Engine {
 	if e.children == nil {
 		e.children = localChildRunner{eng: e}
 	}
-	// Fleet-aware configurators borrow the engine's clock (deterministic
-	// backoff in tests) and registry (per-replica generation gauges).
-	if b, ok := e.configurator.(interface{ bindEngine(*Engine) }); ok {
-		b.bindEngine(e)
+	if e.targets == nil {
+		e.targets = defaultTargets()
+	}
+	// Targets that keep time borrow the engine's clock (deterministic
+	// backoff and TTLs in tests); the proxy fleet also records its
+	// per-replica generation gauges in the engine's registry.
+	for _, t := range e.targets.All() {
+		if cb, ok := t.(target.ClockBinder); ok {
+			cb.BindClock(e.clk)
+		}
+		if rb, ok := t.(interface{ bindRegistry(*metrics.Registry) }); ok {
+			rb.bindRegistry(e.registry)
+		}
 	}
 	e.bus = newEventBus(e.ringSize)
 	e.mActive = e.registry.Gauge("engine_active_strategies", nil)

@@ -9,9 +9,10 @@ import (
 
 	"bifrost/internal/clock"
 	"bifrost/internal/core"
+	"bifrost/internal/target"
 )
 
-// recordingConfigurator captures Configure calls for assertions.
+// recordingConfigurator is a target capturing Apply calls for assertions.
 type recordingConfigurator struct {
 	mu    sync.Mutex
 	calls []configCall
@@ -25,7 +26,7 @@ type configCall struct {
 	weights    map[string]float64
 }
 
-func (rc *recordingConfigurator) Configure(_ context.Context, _ *core.Strategy,
+func (rc *recordingConfigurator) Apply(_ context.Context, _ *core.Strategy,
 	state *core.State, r core.RoutingConfig, gen int64) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -41,6 +42,12 @@ func (rc *recordingConfigurator) Configure(_ context.Context, _ *core.Strategy,
 	})
 	return nil
 }
+
+func (rc *recordingConfigurator) Convergence(context.Context, string) []target.Convergence {
+	return nil
+}
+
+func (rc *recordingConfigurator) Retire(string) {}
 
 func (rc *recordingConfigurator) snapshot() []configCall {
 	rc.mu.Lock()

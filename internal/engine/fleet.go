@@ -14,6 +14,7 @@ import (
 	"bifrost/internal/httpx"
 	"bifrost/internal/metrics"
 	"bifrost/internal/proxy"
+	"bifrost/internal/target"
 )
 
 // This file implements fleet delivery: fanning a state's routing config
@@ -190,41 +191,12 @@ func deliver(ctx context.Context, clk clock.Clock, dial func(string) replicaClie
 		cfg.Service, acked, len(endpoints), cfg.Generation, need, errors.Join(fails...))
 }
 
-// FleetStatus is the convergence snapshot of one service's proxy fleet at
-// the run's current routing generation. It appears in run status
-// (Status.Fleet), is reduced from routing_converged / routing_degraded
-// events by the journal mirror, and is printed by `bifrost status`.
-type FleetStatus struct {
-	Service string `json:"service"`
-	// Generation is the fleet's desired routing generation.
-	Generation int64 `json:"generation"`
-	// Replicas is the fleet size; Acked counts replicas observed at (or
-	// beyond) Generation.
-	Replicas int `json:"replicas"`
-	Acked    int `json:"acked"`
-	// Lagging lists the replicas behind Generation or unreachable.
-	Lagging []string `json:"lagging,omitempty"`
-	// Converged is Acked == Replicas. A degraded fleet still serves
-	// traffic — on the routing the lagging replicas last acked.
-	Converged bool `json:"converged"`
-}
-
-// fleetManager is implemented by configurators that track per-replica
-// delivery state; the run loop drives a background reconciler against it
-// (run.go's reconcileLoop), acknowledges each routing_applied via
-// settled, and forgets the strategy's fleets on exit.
-type fleetManager interface {
-	reconcile(ctx context.Context, strategy string) []FleetStatus
-	reconcileInterval() time.Duration
-	passBudget() time.Duration
-	settled(strategy, service string)
-	forget(strategy string)
-	// withCurrent runs fn only while generation is still the settled
-	// desired generation for the service, holding the manager's state
-	// lock across fn so no state transition can supersede the generation
-	// mid-publish. Reports whether fn ran.
-	withCurrent(strategy, service string, generation int64, fn func()) bool
-}
+// FleetStatus is the convergence snapshot of one service's fleet at the
+// run's current routing generation, as any enactment target reports it. It
+// appears in run status (Status.Fleet), is reduced from routing_converged /
+// routing_degraded events by the journal mirror, and is printed by
+// `bifrost status`.
+type FleetStatus = target.Convergence
 
 // FleetOption configures a FleetConfigurator.
 type FleetOption func(*FleetConfigurator)
@@ -272,14 +244,15 @@ type FleetConfigurator struct {
 
 	// clk and registry are bound to the owning engine by New (engine
 	// clock drives backoff/timeout so tests stay deterministic; the
-	// registry carries the per-replica generation gauges).
+	// registry carries the per-replica generation gauges). Unbound, the
+	// fleet runs on the real clock and records no gauges.
 	clk      clock.Clock
 	registry *metrics.Registry
 
 	mu     sync.Mutex
 	fleets map[fleetKey]*fleetState
 	// recorded tracks, per fleet, the newest generation each replica's
-	// gauge reported — both so forget can delete the series instead of
+	// gauge reported — both so Retire can delete the series instead of
 	// leaking one per finished strategy, and so a delayed straggler ack
 	// for an old generation cannot regress the gauge below what the
 	// replica actually runs.
@@ -289,7 +262,7 @@ type FleetConfigurator struct {
 type fleetKey struct{ strategy, service string }
 
 // fleetState is the desired state of one service's fleet: the last wire
-// config Configure rendered and where it must be live.
+// config Apply rendered and where it must be live.
 type fleetState struct {
 	cfg      proxy.Config
 	replicas []string
@@ -302,8 +275,11 @@ type fleetState struct {
 }
 
 var (
-	_ Configurator = (*FleetConfigurator)(nil)
-	_ fleetManager = (*FleetConfigurator)(nil)
+	_ target.Target      = (*FleetConfigurator)(nil)
+	_ target.Settler     = (*FleetConfigurator)(nil)
+	_ target.Gate        = (*FleetConfigurator)(nil)
+	_ target.Paced       = (*FleetConfigurator)(nil)
+	_ target.ClockBinder = (*FleetConfigurator)(nil)
 )
 
 // NewFleetConfigurator creates a fleet configurator; by default it pushes
@@ -323,12 +299,13 @@ func NewFleetConfigurator(opts ...FleetOption) *FleetConfigurator {
 	return fc
 }
 
-// bindEngine attaches the owning engine's clock and metrics registry;
-// called by engine.New.
-func (fc *FleetConfigurator) bindEngine(e *Engine) {
-	fc.clk = e.clk
-	fc.registry = e.registry
-}
+// BindClock implements target.ClockBinder: engine.New hands over its
+// clock, which drives the retry backoff.
+func (fc *FleetConfigurator) BindClock(clk clock.Clock) { fc.clk = clk }
+
+// bindRegistry attaches the owning engine's metrics registry, which carries
+// the per-replica generation gauges; called by engine.New.
+func (fc *FleetConfigurator) bindRegistry(reg *metrics.Registry) { fc.registry = reg }
 
 // quorumFor resolves the configured quorum against a fleet size.
 func (fc *FleetConfigurator) quorumFor(replicas int) int {
@@ -354,11 +331,11 @@ func (fc *FleetConfigurator) ensureInitLocked() {
 	}
 }
 
-// Configure implements Configurator: render the routing config once, fan
-// it out to every replica concurrently, and succeed once the quorum acks.
+// Apply implements target.Target: render the routing config once, fan it
+// out to every replica concurrently, and succeed once the quorum acks.
 // The desired state is recorded first, so even a partially failed push is
 // repaired by the reconciler rather than retried by hand.
-func (fc *FleetConfigurator) Configure(ctx context.Context, s *core.Strategy,
+func (fc *FleetConfigurator) Apply(ctx context.Context, s *core.Strategy,
 	state *core.State, rc core.RoutingConfig, generation int64) error {
 
 	svc, ok := s.FindService(rc.Service)
@@ -396,7 +373,7 @@ func (fc *FleetConfigurator) Configure(ctx context.Context, s *core.Strategy,
 		return err
 	}
 	// On success, settling stays set until the caller has published this
-	// generation's routing_applied and calls settled() — otherwise a fast
+	// generation's routing_applied and calls Settled — otherwise a fast
 	// reconcile pass could journal routing_degraded for generation N
 	// ahead of routing_applied generation N.
 	return nil
@@ -426,10 +403,10 @@ func (fc *FleetConfigurator) recordGeneration(key fleetKey, replica string, gen 
 		return
 	}
 	set[replica] = gen
-	// The gauge write stays under fc.mu: a concurrent forget either runs
+	// The gauge write stays under fc.mu: a concurrent Retire either runs
 	// entirely before (the liveness check above skips) or entirely after
 	// (the recorded entry just added makes it delete this series) — an
-	// unlocked write could land between forget's collection and its
+	// unlocked write could land between Retire's collection and its
 	// DeleteGauge, resurrecting a retired series forever.
 	fc.registry.Gauge("engine_proxy_replica_generation", metrics.Labels{
 		"strategy": key.strategy, "service": key.service, "replica": replica,
@@ -438,7 +415,7 @@ func (fc *FleetConfigurator) recordGeneration(key fleetKey, replica string, gen 
 
 // recordRepair counts one successful anti-entropy re-push to a lagging
 // replica. Same locking discipline as recordGeneration: the write stays
-// under fc.mu so a concurrent forget cannot leave a resurrected series.
+// under fc.mu so a concurrent Retire cannot leave a resurrected series.
 func (fc *FleetConfigurator) recordRepair(key fleetKey, replica string) {
 	if fc.registry == nil {
 		return
@@ -448,7 +425,7 @@ func (fc *FleetConfigurator) recordRepair(key fleetKey, replica string) {
 	if _, live := fc.fleets[key]; !live {
 		return
 	}
-	// Register the replica in recorded before writing, so forget retires
+	// Register the replica in recorded before writing, so Retire retires
 	// this counter even if no generation ack ever lands for the replica.
 	set := fc.recorded[key]
 	if set == nil {
@@ -463,25 +440,25 @@ func (fc *FleetConfigurator) recordRepair(key fleetKey, replica string) {
 	}).Inc()
 }
 
-// reconcileInterval implements fleetManager.
-func (fc *FleetConfigurator) reconcileInterval() time.Duration {
+// ReconcileInterval implements target.Paced.
+func (fc *FleetConfigurator) ReconcileInterval() time.Duration {
 	if fc.every <= 0 {
 		return 10 * time.Second // zero-value construction; see ensureInitLocked
 	}
 	return fc.every
 }
 
-// passBudget implements fleetManager: the worst-case duration of one
+// PassBudget implements target.Paced: the worst-case duration of one
 // reconcile pass. Services are polled in parallel and each replica costs
 // at most a config poll, a liveness poll, and a re-push — three calls
 // bounded by the push timeout — plus slack for scheduling.
-func (fc *FleetConfigurator) passBudget() time.Duration {
+func (fc *FleetConfigurator) PassBudget() time.Duration {
 	return 3*fc.retry.withDefaults().PushTimeout + time.Second
 }
 
-// settled implements fleetManager: the caller has published this fleet's
+// Settled implements target.Settler: the caller has published this fleet's
 // routing_applied, so the reconciler may report it from here on.
-func (fc *FleetConfigurator) settled(strategy, service string) {
+func (fc *FleetConfigurator) Settled(strategy, service string) {
 	fc.mu.Lock()
 	if fs := fc.fleets[fleetKey{strategy, service}]; fs != nil {
 		fs.settling = false
@@ -489,14 +466,14 @@ func (fc *FleetConfigurator) settled(strategy, service string) {
 	fc.mu.Unlock()
 }
 
-// withCurrent implements fleetManager: it re-checks, under fc.mu, that
+// WithCurrent implements target.Gate: it re-checks, under fc.mu, that
 // generation is still the service's settled desired generation and runs fn
 // while holding the lock, so a state transition cannot supersede the
 // generation between the reconcile pass's filter and the publish. fc.mu →
 // publish-lock is the only ordering between these locks (nothing in the
-// publish pipeline calls back into the fleet manager), so holding fc.mu
-// across fn is deadlock-free.
-func (fc *FleetConfigurator) withCurrent(strategy, service string, generation int64, fn func()) bool {
+// publish pipeline calls back into the fleet), so holding fc.mu across fn
+// is deadlock-free.
+func (fc *FleetConfigurator) WithCurrent(strategy, service string, generation int64, fn func()) bool {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fs := fc.fleets[fleetKey{strategy, service}]
@@ -507,9 +484,9 @@ func (fc *FleetConfigurator) withCurrent(strategy, service string, generation in
 	return true
 }
 
-// forget implements fleetManager: drops a finished strategy's fleets and
+// Retire implements target.Target: drops a finished strategy's fleets and
 // retires their per-replica generation gauges and re-push counters.
-func (fc *FleetConfigurator) forget(strategy string) {
+func (fc *FleetConfigurator) Retire(strategy string) {
 	fc.mu.Lock()
 	for key := range fc.fleets {
 		if key.strategy == strategy {
@@ -537,37 +514,37 @@ func (fc *FleetConfigurator) forget(strategy string) {
 	}
 }
 
-// reconcile implements fleetManager: one anti-entropy pass over the
+// Convergence implements target.Target: one anti-entropy pass over the
 // strategy's fleets. Every replica is polled for its active config
 // generation; lagging or restarted replicas get the current generation
 // re-pushed (one bounded attempt — the next pass retries). Returns one
 // FleetStatus per service, sorted by service name.
-func (fc *FleetConfigurator) reconcile(ctx context.Context, strategy string) []FleetStatus {
-	type target struct {
+func (fc *FleetConfigurator) Convergence(ctx context.Context, strategy string) []FleetStatus {
+	type fleet struct {
 		key      fleetKey
 		cfg      proxy.Config
 		replicas []string
 	}
 	fc.mu.Lock()
-	targets := make([]target, 0, len(fc.fleets))
+	fleets := make([]fleet, 0, len(fc.fleets))
 	for key, fs := range fc.fleets {
 		if key.strategy != strategy || fs.settling {
 			continue
 		}
-		targets = append(targets, target{key, fs.cfg, append([]string(nil), fs.replicas...)})
+		fleets = append(fleets, fleet{key, fs.cfg, append([]string(nil), fs.replicas...)})
 	}
 	fc.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].key.service < targets[j].key.service })
+	sort.Slice(fleets, func(i, j int) bool { return fleets[i].key.service < fleets[j].key.service })
 
 	// Services are polled concurrently like the replicas within each: a
 	// pass must be bounded by the slowest single service, not their sum —
 	// a hung replica costs two admin timeouts, and a sequential sweep of
 	// several such services would blow past the caller's pass budget.
-	out := make([]FleetStatus, len(targets))
+	out := make([]FleetStatus, len(fleets))
 	var services sync.WaitGroup
-	for ti, tg := range targets {
+	for ti, tg := range fleets {
 		services.Add(1)
-		go func(ti int, tg target) {
+		go func(ti int, tg fleet) {
 			defer services.Done()
 			st := FleetStatus{
 				Service:    tg.key.service,
@@ -602,7 +579,7 @@ func (fc *FleetConfigurator) reconcile(ctx context.Context, strategy string) []F
 	// dropped — publishing them would degrade the fleet over a
 	// generation nobody wants anymore; the next pass reports the current
 	// one. A transition completing after this filter is caught by the
-	// caller re-checking under withCurrent at publish time, so a stale
+	// caller re-checking under WithCurrent at publish time, so a stale
 	// report can no longer slip through the filter-to-publish window.
 	fc.mu.Lock()
 	current := out[:0]

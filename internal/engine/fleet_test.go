@@ -17,6 +17,7 @@ import (
 	"bifrost/internal/dsl"
 	"bifrost/internal/httpx"
 	"bifrost/internal/proxy"
+	"bifrost/internal/target"
 )
 
 // fastRetry keeps unit tests quick: real-clock backoff in the millisecond
@@ -232,7 +233,7 @@ func TestFleetQuorum(t *testing.T) {
 		s, rc, replicas, dial := fleetFixture()
 		replicas["r3"].setErrs = manyDown()
 		fc := NewFleetConfigurator(FleetQuorum(2), FleetRetry(fastRetry()), dial)
-		if err := fc.Configure(context.Background(), s, &core.State{}, rc, 3); err != nil {
+		if err := fc.Apply(context.Background(), s, &core.State{}, rc, 3); err != nil {
 			t.Fatalf("quorum 2/3 push failed: %v", err)
 		}
 		if replicas["r1"].generation() != 3 || replicas["r2"].generation() != 3 {
@@ -245,7 +246,7 @@ func TestFleetQuorum(t *testing.T) {
 		s, rc, replicas, dial := fleetFixture()
 		replicas["r3"].setErrs = manyDown()
 		all := NewFleetConfigurator(FleetRetry(fastRetry()), dial)
-		err := all.Configure(context.Background(), s, &core.State{}, rc, 4)
+		err := all.Apply(context.Background(), s, &core.State{}, rc, 4)
 		if err == nil {
 			t.Fatal("quorum all with a dead replica reported success")
 		}
@@ -293,7 +294,7 @@ func TestFleetQuorumUnblocksDespiteHungReplica(t *testing.T) {
 		MaxBackoff:  2 * time.Millisecond,
 	}), dial)
 	start := time.Now()
-	if err := fc.Configure(context.Background(), s, &core.State{}, rc, 9); err != nil {
+	if err := fc.Apply(context.Background(), s, &core.State{}, rc, 9); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -324,15 +325,15 @@ func TestFleetReconcileSkipsSettlingFleet(t *testing.T) {
 		MaxBackoff:  time.Millisecond,
 	}), dial)
 	done := make(chan error, 1)
-	go func() { done <- fc.Configure(context.Background(), s, &core.State{}, rc, 2) }()
+	go func() { done <- fc.Apply(context.Background(), s, &core.State{}, rc, 2) }()
 	time.Sleep(50 * time.Millisecond) // r1/r2 acked; r3 hangs out its push timeout
-	if got := fc.reconcile(context.Background(), s.Name); len(got) != 0 {
+	if got := fc.Convergence(context.Background(), s.Name); len(got) != 0 {
 		t.Errorf("reconcile during settling fan-out = %+v, want none", got)
 	}
 	if err := <-done; err == nil {
 		t.Fatal("quorum all with a hung replica reported success")
 	}
-	reports := fc.reconcile(context.Background(), s.Name)
+	reports := fc.Convergence(context.Background(), s.Name)
 	if len(reports) != 1 || reports[0].Converged {
 		t.Errorf("reconcile after fan-out = %+v, want one degraded report", reports)
 	}
@@ -354,11 +355,11 @@ func TestZeroValueFleetConfigurator(t *testing.T) {
 	}
 	rc := core.RoutingConfig{Service: "shop", Weights: map[string]float64{"stable": 1}}
 	fc := &FleetConfigurator{}
-	if err := fc.Configure(context.Background(), s, &core.State{}, rc, 1); err == nil {
+	if err := fc.Apply(context.Background(), s, &core.State{}, rc, 1); err == nil {
 		t.Fatal("zero-value configurator reported success without any reachable replica")
 	}
-	if fc.reconcileInterval() <= 0 {
-		t.Errorf("reconcileInterval = %v, want positive", fc.reconcileInterval())
+	if fc.ReconcileInterval() <= 0 {
+		t.Errorf("reconcileInterval = %v, want positive", fc.ReconcileInterval())
 	}
 }
 
@@ -369,20 +370,20 @@ func TestFleetReconcileRepairsRebootedReplica(t *testing.T) {
 	s, rc, replicas, dial := fleetFixture()
 	fc := NewFleetConfigurator(FleetRetry(fastRetry()), dial)
 	ctx := context.Background()
-	if err := fc.Configure(ctx, s, &core.State{}, rc, 5); err != nil {
+	if err := fc.Apply(ctx, s, &core.State{}, rc, 5); err != nil {
 		t.Fatal(err)
 	}
 	// The run loop calls settled after publishing routing_applied; mirror
 	// it so the reconciler reports this fleet.
-	fc.settled(s.Name, "shop")
+	fc.Settled(s.Name, "shop")
 
-	reports := fc.reconcile(ctx, s.Name)
+	reports := fc.Convergence(ctx, s.Name)
 	if len(reports) != 1 || !reports[0].Converged || reports[0].Acked != 3 {
 		t.Fatalf("initial reconcile = %+v, want converged 3/3", reports)
 	}
 
 	replicas["r2"].crash()
-	reports = fc.reconcile(ctx, s.Name)
+	reports = fc.Convergence(ctx, s.Name)
 	if len(reports) != 1 || reports[0].Converged || reports[0].Acked != 2 {
 		t.Fatalf("crashed reconcile = %+v, want degraded 2/3", reports)
 	}
@@ -391,7 +392,7 @@ func TestFleetReconcileRepairsRebootedReplica(t *testing.T) {
 	}
 
 	replicas["r2"].reboot()
-	reports = fc.reconcile(ctx, s.Name)
+	reports = fc.Convergence(ctx, s.Name)
 	if len(reports) != 1 || !reports[0].Converged {
 		t.Fatalf("post-reboot reconcile = %+v, want converged", reports)
 	}
@@ -400,8 +401,8 @@ func TestFleetReconcileRepairsRebootedReplica(t *testing.T) {
 			replicas["r2"].generation())
 	}
 
-	fc.forget(s.Name)
-	if got := fc.reconcile(ctx, s.Name); len(got) != 0 {
+	fc.Retire(s.Name)
+	if got := fc.Convergence(ctx, s.Name); len(got) != 0 {
 		t.Errorf("reconcile after forget = %+v, want none", got)
 	}
 }
@@ -425,13 +426,13 @@ func TestFleetForgetRetiresReplicaGauges(t *testing.T) {
 	eng := New(WithConfigurator(fc)) // binds the registry
 	defer eng.Shutdown()
 
-	if err := fc.Configure(context.Background(), s, &core.State{}, rc, 2); err != nil {
+	if err := fc.Apply(context.Background(), s, &core.State{}, rc, 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := countReplicaGauges(eng); n != 3 {
 		t.Fatalf("replica gauges after configure = %d, want 3", n)
 	}
-	fc.forget(s.Name)
+	fc.Retire(s.Name)
 	if n := countReplicaGauges(eng); n != 0 {
 		t.Errorf("replica gauges after forget = %d, want 0", n)
 	}
@@ -452,14 +453,14 @@ func TestFleetForgetRetiresRepushCounters(t *testing.T) {
 	defer eng.Shutdown()
 
 	ctx := context.Background()
-	if err := fc.Configure(ctx, s, &core.State{}, rc, 5); err != nil {
+	if err := fc.Apply(ctx, s, &core.State{}, rc, 5); err != nil {
 		t.Fatal(err)
 	}
-	fc.settled(s.Name, "shop")
+	fc.Settled(s.Name, "shop")
 	replicas["r2"].crash()
-	fc.reconcile(ctx, s.Name)
+	fc.Convergence(ctx, s.Name)
 	replicas["r2"].reboot()
-	fc.reconcile(ctx, s.Name) // repairs r2: one re-push
+	fc.Convergence(ctx, s.Name) // repairs r2: one re-push
 
 	countRepush := func() (series int, total float64) {
 		for _, p := range eng.Registry().Gather() {
@@ -474,7 +475,7 @@ func TestFleetForgetRetiresRepushCounters(t *testing.T) {
 	if series != 1 || total < 1 {
 		t.Fatalf("repush counters after repair = %d series (sum %v), want 1 series ≥ 1", series, total)
 	}
-	fc.forget(s.Name)
+	fc.Retire(s.Name)
 	if series, _ := countRepush(); series != 0 {
 		t.Errorf("repush counters after forget = %d, want 0", series)
 	}
@@ -750,9 +751,10 @@ strategy:
 	}
 }
 
-// TestHTTPConfiguratorRetriesTransient covers the single-proxy path of
-// satellite #1: HTTPConfigurator bounds and retries its pushes too.
-func TestHTTPConfiguratorRetriesTransient(t *testing.T) {
+// TestFleetSingleProxyRetriesTransient covers the single-proxy path: a
+// service with one `proxy:` endpoint is a fleet of one, whose push is
+// bounded and retried like every replica's.
+func TestFleetSingleProxyRetriesTransient(t *testing.T) {
 	fa := &flakyAdmin{failPuts: 2}
 	srv := httptest.NewServer(fa)
 	defer srv.Close()
@@ -766,8 +768,8 @@ func TestHTTPConfiguratorRetriesTransient(t *testing.T) {
 		}},
 	}
 	rc := core.RoutingConfig{Service: "shop", Weights: map[string]float64{"stable": 1}}
-	hc := HTTPConfigurator{Retry: fastRetry()}
-	if err := hc.Configure(context.Background(), s, &core.State{}, rc, 2); err != nil {
+	fc := NewFleetConfigurator(FleetRetry(fastRetry()))
+	if err := fc.Apply(context.Background(), s, &core.State{}, rc, 2); err != nil {
 		t.Fatalf("configure: %v", err)
 	}
 	fa.mu.Lock()
@@ -777,13 +779,13 @@ func TestHTTPConfiguratorRetriesTransient(t *testing.T) {
 	}
 }
 
-// racingFleetManager is a scripted configurator/fleet manager that
-// reproduces the PR 5 trade-off window deterministically: its first
-// reconcile pass hands the run loop a degraded report for the generation it
-// was asked to configure, and supersedes that generation *in the same
-// breath* — i.e. the transition lands exactly between the pass's stale
-// filter and the loop's publish. Later passes report the new generation.
-type racingFleetManager struct {
+// racingTarget is a scripted target that reproduces the PR 5 trade-off
+// window deterministically: its first convergence pass hands the run loop a
+// degraded report for the generation it was asked to apply, and supersedes
+// that generation *in the same breath* — i.e. the transition lands exactly
+// between the pass's stale filter and the loop's publish. Later passes
+// report the new generation.
+type racingTarget struct {
 	mu       sync.Mutex
 	gen      int64 // current settled desired generation
 	settling bool
@@ -792,7 +794,7 @@ type racingFleetManager struct {
 	passes   int
 }
 
-func (m *racingFleetManager) Configure(ctx context.Context, s *core.Strategy,
+func (m *racingTarget) Apply(ctx context.Context, s *core.Strategy,
 	state *core.State, rc core.RoutingConfig, generation int64) error {
 	m.mu.Lock()
 	m.gen, m.settling = generation, true
@@ -801,9 +803,7 @@ func (m *racingFleetManager) Configure(ctx context.Context, s *core.Strategy,
 	return nil
 }
 
-func (m *racingFleetManager) tracks(*core.Strategy) bool { return true }
-
-func (m *racingFleetManager) reconcile(ctx context.Context, strategy string) []FleetStatus {
+func (m *racingTarget) Convergence(ctx context.Context, strategy string) []target.Convergence {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.settling {
@@ -816,33 +816,33 @@ func (m *racingFleetManager) reconcile(ctx context.Context, strategy string) []F
 		// of view the transition happened in the filter-to-publish window.
 		m.poisoned = true
 		st := FleetStatus{
-			Service: "shop", Generation: m.staleGen,
+			Service: "svc", Generation: m.staleGen,
 			Replicas: 2, Acked: 1, Lagging: []string{"r2"},
 		}
 		m.gen = m.staleGen + 1 // supersede; already settled (applied elsewhere)
 		return []FleetStatus{st}
 	}
 	return []FleetStatus{{
-		Service: "shop", Generation: m.gen,
+		Service: "svc", Generation: m.gen,
 		Replicas: 2, Acked: 1, Lagging: []string{"r2"},
 	}}
 }
 
-func (m *racingFleetManager) reconcileInterval() time.Duration { return 5 * time.Millisecond }
-func (m *racingFleetManager) passBudget() time.Duration        { return time.Second }
+func (m *racingTarget) ReconcileInterval() time.Duration { return 5 * time.Millisecond }
+func (m *racingTarget) PassBudget() time.Duration        { return time.Second }
 
-func (m *racingFleetManager) settled(strategy, service string) {
+func (m *racingTarget) Settled(strategy, service string) {
 	m.mu.Lock()
 	m.settling = false
 	m.mu.Unlock()
 }
 
-func (m *racingFleetManager) forget(strategy string) {}
+func (m *racingTarget) Retire(strategy string) {}
 
-// withCurrent mirrors FleetConfigurator.withCurrent's contract over the
+// WithCurrent mirrors FleetConfigurator.WithCurrent's contract over the
 // scripted state: fn runs only while generation is still the settled
-// current one, under the same lock reconcile mutates it.
-func (m *racingFleetManager) withCurrent(strategy, service string, generation int64, fn func()) bool {
+// current one, under the same lock Convergence mutates it.
+func (m *racingTarget) WithCurrent(strategy, service string, generation int64, fn func()) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.settling || m.gen != generation {
@@ -859,17 +859,20 @@ func (m *racingFleetManager) withCurrent(strategy, service string, generation in
 // journal never carries a routing_degraded for the dead generation — while
 // the next pass's report for the live generation still publishes.
 func TestReconcileLoopDropsStaleReportFullPath(t *testing.T) {
-	fm := &racingFleetManager{}
+	fm := &racingTarget{}
 	eng := New(WithConfigurator(fm))
 	defer eng.Shutdown()
 
-	strategy, err := dsl.Compile(holdStrategy)
+	// A proxy service tracks convergence only with declared endpoints.
+	src := strings.Replace(holdStrategy, "    - service: svc\n",
+		"    - service: svc\n      proxy: 127.0.0.1:9\n", 1)
+	strategy, err := dsl.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	events, cancel := eng.Subscribe(256)
 	defer cancel()
-	if _, err := eng.EnactSource(strategy, holdStrategy); err != nil {
+	if _, err := eng.EnactSource(strategy, src); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"time"
 
 	"bifrost/internal/core"
@@ -165,7 +164,7 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 			rm.ResumeElapsed = ev.Elapsed
 			// Re-anchor immediately, not just at the re-entry: a crash
 			// between this event and state_entered (a crash loop during
-			// Configure) must not count the downtime as in-state time.
+			// Apply) must not count the downtime as in-state time.
 			st.EnteredAt = ev.Time.Add(-ev.Elapsed)
 		}
 	case EventRoutingConverged, EventRoutingDegraded:
@@ -285,31 +284,6 @@ func (m *engineMirror) cloneRun(name string) *engineMirror {
 		Generation: m.Generation,
 		Runs:       map[string]*runMirror{name: &cp},
 	}
-}
-
-// splitMirrorSnapshot breaks a legacy engine-wide snapshot into one
-// single-run snapshot per run, for the journal's partition migration. Each
-// per-run payload is a full engineMirror holding just that run, so
-// partition recovery reuses the exact same decoding path as before.
-func splitMirrorSnapshot(snapshot []byte) (map[string][]byte, error) {
-	var m engineMirror
-	if err := json.Unmarshal(snapshot, &m); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(m.Runs))
-	for name := range m.Runs {
-		part := engineMirror{
-			LastTime:   m.LastTime,
-			Generation: m.Generation,
-			Runs:       map[string]*runMirror{name: m.Runs[name]},
-		}
-		raw, err := json.Marshal(&part)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = raw
-	}
-	return out, nil
 }
 
 // events returns up to n of a run's retained events, oldest first (n <= 0:

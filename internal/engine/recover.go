@@ -66,10 +66,11 @@ type recovered struct {
 // Recover replays every journal partition and resumes every unfinished run:
 // same automaton state, elapsed-in-state preserved, pause generation and
 // path intact, and the last routing configuration re-applied through the
-// Configurator (proxies may have restarted too). It must be called once,
-// after New and before any Enact. compile recompiles the journaled strategy
-// sources (cmd wiring passes dsl.Compile). Clustered engines adopt runs
-// one at a time through RecoverRun instead, as their leases are claimed.
+// run's enactment targets (proxies may have restarted too). It must be
+// called once, after New and before any Enact. compile recompiles the
+// journaled strategy sources (cmd wiring passes dsl.Compile). Clustered
+// engines adopt runs one at a time through RecoverRun instead, as their
+// leases are claimed.
 func (e *Engine) Recover(compile CompileFunc) (*RecoveryReport, error) {
 	if e.journals == nil {
 		return nil, errors.New("engine: Recover requires WithJournalSet")

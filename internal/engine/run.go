@@ -55,6 +55,9 @@ type Run struct {
 	// persisted across routeless states is restored too (proxies may
 	// have restarted during the downtime). Loop-local.
 	recoveredRouting []core.RoutingConfig
+	// targets resolves each service's enactment target; set once when
+	// the loop starts, before the reconciler that reads it.
+	targets *runTargets
 
 	mu     sync.Mutex
 	status Status
@@ -140,9 +143,9 @@ type Status struct {
 	Path []Transition `json:"path"`
 	// Checks reports progress of the current state's checks.
 	Checks []CheckStatus `json:"checks,omitempty"`
-	// Fleet reports per-service proxy-fleet convergence at the current
-	// routing generation (fleet-aware configurators only), maintained by
-	// the run's background reconciler.
+	// Fleet reports per-service convergence at the current routing
+	// generation (targets that settle only), maintained by the run's
+	// background reconciler.
 	Fleet []FleetStatus `json:"fleet,omitempty"`
 	// Children mirrors the sub-rollout children of a hierarchical run,
 	// reduced from the child-linkage events in the parent's own partition —
@@ -337,44 +340,43 @@ func (r *Run) loop(ctx context.Context) {
 	}
 	r.mu.Unlock()
 
-	// Fleet-aware configurators get a per-run anti-entropy reconciler: it
-	// polls every replica, re-pushes the current generation to lagging or
+	// Defer order matters: retire runs before close(r.done) (LIFO vs the
+	// deferred close at the top of loop), and Enact/Remove gate on that
+	// channel — so a re-enactment of this strategy name can only register
+	// fresh target state after this retire has finished, never before it.
+	r.targets = r.engine.resolveTargets(r.strategy)
+	defer r.targets.retire()
+
+	// Targets that settle get a per-run anti-entropy reconciler: it polls
+	// every replica, re-pushes the current generation to lagging or
 	// restarted ones, and publishes routing_converged/routing_degraded
 	// transitions. It lives for the whole run (routing persists across
 	// states that declare none) and is stopped — synchronously, so no
 	// convergence event can land after the terminal record — by finish()
 	// or, on suspend, by the deferred stop below.
-	var fm fleetManager
 	stopReconciler := func() {}
-	if m, ok := r.engine.configurator.(fleetManager); ok && configuratorTracksFleet(r.engine.configurator, r.strategy) {
-		fm = m
+	if r.targets.tracks {
 		rctx, rcancel := context.WithCancel(ctx)
 		rdone := make(chan struct{})
 		go func() {
 			defer close(rdone)
-			r.reconcileLoop(rctx, fm)
+			r.reconcileLoop(rctx)
 		}()
 		stopReconciler = func() {
 			rcancel()
 			<-rdone
 		}
-		// Defer order matters: forget runs before close(r.done) (LIFO vs
-		// the deferred close at the top of loop), and Enact/Remove gate on
-		// that channel — so a re-enactment of this strategy name can only
-		// register fresh fleet state after this forget has finished, never
-		// before it.
-		defer fm.forget(r.strategy.Name)
 		defer stopReconciler()
 	}
 
 	finish := func(state RunState, errMsg string) {
 		stopReconciler()
-		if state != RunAborted {
+		if state != RunAborted && r.targets.tracks {
 			// Completed and failed runs get one last anti-entropy pass;
 			// aborted ones skip it — the operator just cancelled the run
 			// (Shutdown aborts every run and must not stall on unreachable
 			// proxies, nor should routing be re-pushed after an abort).
-			r.finalFleetCheck(fm)
+			r.finalFleetCheck()
 		}
 		now := clk.Now()
 		r.mu.Lock()
@@ -439,7 +441,7 @@ func (r *Run) loop(ctx context.Context) {
 			r.recoveredRouting = rc.routing
 			if rc.paused {
 				// Re-assert the pause before re-entering the state: if the
-				// engine dies again mid-re-entry (Configure calls proxies
+				// engine dies again mid-re-entry (Apply calls proxies
 				// that may be down right after an outage), the journal's
 				// last word must still be "paused" — an operator's hold is
 				// never silently released by a crash loop.
@@ -566,7 +568,7 @@ func (r *Run) enterState(ctx context.Context, state *core.State) error {
 	for i := range routing {
 		rc := routing[i]
 		gen := r.engine.nextGeneration()
-		if err := r.engine.configurator.Configure(ctx, r.strategy, state, rc, gen); err != nil {
+		if err := r.targets.apply(ctx, r.strategy, state, rc, gen); err != nil {
 			return err
 		}
 		r.publish(Event{
@@ -575,9 +577,7 @@ func (r *Run) enterState(ctx context.Context, state *core.State) error {
 		})
 		// Only now may the reconciler report this fleet: a degraded event
 		// for generation gen must never precede its routing_applied.
-		if fm, ok := r.engine.configurator.(fleetManager); ok {
-			fm.settled(r.strategy.Name, rc.Service)
-		}
+		r.targets.settled(rc.Service)
 	}
 	return nil
 }
@@ -870,39 +870,16 @@ func (r *Run) publishGateDecision(state *core.State, kind controlKind, target st
 	})
 }
 
-// strategyHasFleet reports whether any service declares proxy endpoints —
-// only then is there a fleet to reconcile.
-func strategyHasFleet(s *core.Strategy) bool {
-	for _, svc := range s.Services {
-		if len(svc.ProxyEndpoints()) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// configuratorTracksFleet reports whether the configurator will actually
-// track convergence for this strategy's services. Target-registry
-// configurators know per-service which plugin enacts and whether it
-// reconciles (tracks); plain fleet configurators track exactly the
-// services with proxy endpoints.
-func configuratorTracksFleet(c Configurator, s *core.Strategy) bool {
-	if t, ok := c.(interface{ tracks(*core.Strategy) bool }); ok {
-		return t.tracks(s)
-	}
-	return strategyHasFleet(s)
-}
-
 // reconcileLoop is the run's anti-entropy loop: every reconcile interval
-// it polls the strategy's proxy fleets through the fleet manager (which
-// re-pushes the current generation to lagging or restarted replicas),
+// it polls the run's targets for convergence (the proxy fleet re-pushes
+// the current generation to lagging or restarted replicas),
 // refreshes Status.Fleet, and publishes routing_degraded /
 // routing_converged events on convergence transitions — through the same
 // pipeline as every other event, so they reach the journal, the v2 run
 // resource, SSE watchers, and the CLI.
-func (r *Run) reconcileLoop(ctx context.Context, fm fleetManager) {
+func (r *Run) reconcileLoop(ctx context.Context) {
 	clk := r.engine.clk
-	t := clk.NewTicker(fm.reconcileInterval())
+	t := clk.NewTicker(r.targets.reconcileInterval())
 	defer t.Stop()
 	type convState struct {
 		gen       int64
@@ -935,7 +912,7 @@ func (r *Run) reconcileLoop(ctx context.Context, fm fleetManager) {
 			return
 		case <-t.C():
 		}
-		reports := fm.reconcile(ctx, r.strategy.Name)
+		reports := r.targets.convergence(ctx)
 		if ctx.Err() != nil {
 			// The run just finished or was aborted: a pass against
 			// cancelled contexts sees every replica unreachable and must
@@ -966,11 +943,11 @@ func (r *Run) reconcileLoop(ctx context.Context, fm fleetManager) {
 			if publish {
 				// The pass filtered reports against the desired generation,
 				// but a state transition can land between that filter and
-				// here; withCurrent re-checks under the manager's lock so a
+				// here; the target's gate re-checks under its lock so a
 				// superseded report is dropped instead of published. The
 				// skipped `last` update leaves the next pass to evaluate
 				// the current generation from scratch.
-				if !fm.withCurrent(r.strategy.Name, rep.Service, rep.Generation, func() {
+				if !r.targets.withCurrent(rep.Service, rep.Generation, func() {
 					r.publishFleetEvent(rep, state, "", now)
 				}) {
 					continue
@@ -988,16 +965,13 @@ func (r *Run) reconcileLoop(ctx context.Context, fm fleetManager) {
 // before the terminal record — after this the reconciler is gone, so a
 // replica that stayed down keeps its last-acked routing until an operator
 // re-pushes or the next strategy reconfigures the service.
-func (r *Run) finalFleetCheck(fm fleetManager) {
-	if fm == nil {
-		return
-	}
+func (r *Run) finalFleetCheck() {
 	// The budget is derived from the configured push timeout (one pass's
 	// worst case), so a larger -push-timeout cannot starve the pass into
 	// the expired-context guard below.
-	ctx, cancel := context.WithTimeout(context.Background(), fm.passBudget())
+	ctx, cancel := context.WithTimeout(context.Background(), r.targets.passBudget())
 	defer cancel()
-	reports := fm.reconcile(ctx, r.strategy.Name)
+	reports := r.targets.convergence(ctx)
 	if len(reports) == 0 || ctx.Err() != nil {
 		// Same hazard reconcileLoop guards: a pass cut short by its
 		// deadline sees the unpolled replicas as unreachable and must not
@@ -1020,7 +994,7 @@ func (r *Run) finalFleetCheck(fm fleetManager) {
 			// routing_degraded and a restarted engine reports the finished
 			// run as degraded over replicas that were repaired.
 			if wasDegraded[rep.Service] {
-				fm.withCurrent(r.strategy.Name, rep.Service, rep.Generation, func() {
+				r.targets.withCurrent(rep.Service, rep.Generation, func() {
 					r.publishFleetEvent(rep, state, "", now)
 				})
 			}
@@ -1029,7 +1003,7 @@ func (r *Run) finalFleetCheck(fm fleetManager) {
 		// Same supersede guard as reconcileLoop: the run loop is done, but
 		// a concurrent Remove + re-enact of the strategy name could have
 		// replaced the desired state this report describes.
-		fm.withCurrent(r.strategy.Name, rep.Service, rep.Generation, func() {
+		r.targets.withCurrent(rep.Service, rep.Generation, func() {
 			r.publishFleetEvent(rep, state, " as the run ends", now)
 		})
 	}

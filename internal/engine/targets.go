@@ -3,164 +3,131 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"bifrost/internal/core"
 	"bifrost/internal/target"
 )
 
-// ProxyTarget adapts the proxy-fleet configurator to the enactment-target
-// plugin interface: the registry's "proxy" kind is the existing fleet
-// delivery — quorum fan-out, per-replica retry, anti-entropy — with zero
-// behavior change.
-type ProxyTarget struct {
-	fc *FleetConfigurator
+// nopTarget accepts routing and drops it: the default for every kind, for
+// model-only engines and the pure-scalability experiments (§5.2 removes
+// app load entirely).
+type nopTarget struct{}
+
+func (nopTarget) Apply(context.Context, *core.Strategy, *core.State, core.RoutingConfig, int64) error {
+	return nil
 }
+func (nopTarget) Convergence(context.Context, string) []target.Convergence { return nil }
+func (nopTarget) Retire(string)                                            {}
 
-var (
-	_ target.Target  = (*ProxyTarget)(nil)
-	_ target.Settler = (*ProxyTarget)(nil)
-	_ target.Gate    = (*ProxyTarget)(nil)
-	_ target.Paced   = (*ProxyTarget)(nil)
-)
-
-// NewProxyTarget wraps a fleet configurator as the "proxy" target plugin.
-func NewProxyTarget(fc *FleetConfigurator) *ProxyTarget {
-	return &ProxyTarget{fc: fc}
-}
-
-// Apply implements target.Target.
-func (pt *ProxyTarget) Apply(ctx context.Context, s *core.Strategy, state *core.State,
-	rc core.RoutingConfig, generation int64) error {
-	return pt.fc.Configure(ctx, s, state, rc, generation)
-}
-
-// Convergence implements target.Target: one anti-entropy pass over the
-// strategy's proxy fleets.
-func (pt *ProxyTarget) Convergence(ctx context.Context, strategy string) []target.Convergence {
-	reports := pt.fc.reconcile(ctx, strategy)
-	out := make([]target.Convergence, len(reports))
-	for i, rep := range reports {
-		out[i] = target.Convergence(rep)
+// defaultTargets is the registry of an engine given no target.
+func defaultTargets() *target.Registry {
+	reg := target.NewRegistry()
+	for _, kind := range target.KnownKinds() {
+		_ = reg.Register(kind, nopTarget{})
 	}
-	return out
+	return reg
 }
 
-// Retire implements target.Target.
-func (pt *ProxyTarget) Retire(strategy string) { pt.fc.forget(strategy) }
-
-// Settled implements target.Settler.
-func (pt *ProxyTarget) Settled(strategy, service string) { pt.fc.settled(strategy, service) }
-
-// WithCurrent implements target.Gate.
-func (pt *ProxyTarget) WithCurrent(strategy, service string, generation int64, fn func()) bool {
-	return pt.fc.withCurrent(strategy, service, generation, fn)
+// runTargets is one run's view of the engine's target registry: each of the
+// strategy's services resolved to the target enacting it (its deployment's
+// `target:` kind), once per run. The run loop works only through it, so
+// capabilities — settling, a publish gate, a reconcile cadence — are
+// detected on the targets themselves, whatever wraps them.
+type runTargets struct {
+	strategy string
+	of       map[string]target.Target
+	// unknown holds the error for services whose kind has no registered
+	// target; it fails the run when such a service is first routed.
+	unknown map[string]error
+	// distinct lists the resolved targets once each, in service order.
+	distinct []target.Target
+	// tracks is set when some service enacts onto a Settler, which reports
+	// convergence; a proxy service counts only with declared endpoints.
+	// Only then does the run keep an anti-entropy reconciler.
+	tracks bool
 }
 
-// ReconcileInterval implements target.Paced.
-func (pt *ProxyTarget) ReconcileInterval() time.Duration { return pt.fc.reconcileInterval() }
-
-// PassBudget implements target.Paced.
-func (pt *ProxyTarget) PassBudget() time.Duration { return pt.fc.passBudget() }
-
-// bindEngine forwards the engine's clock and metrics registry to the
-// wrapped fleet configurator (see TargetConfigurator.bindEngine).
-func (pt *ProxyTarget) bindEngine(e *Engine) { pt.fc.bindEngine(e) }
-
-// TargetConfigurator is the registry-backed Configurator: each routing
-// config is dispatched to the enactment target the service's deployment
-// selects (`target:` kind; the default is the proxy fleet). It also
-// implements fleetManager by aggregating convergence reports from every
-// target enacting for a strategy, so Status.Fleet, routing_degraded /
-// routing_converged events, and the per-run reconciler work identically
-// whether a service is fronted by proxies or a flag SDK fleet.
-type TargetConfigurator struct {
-	reg *target.Registry
-
-	mu sync.Mutex
-	// owners records which target enacted for each (strategy, service),
-	// so settled/withCurrent/forget route to the plugin that actually
-	// holds the state.
-	owners map[fleetKey]target.Target
+func (e *Engine) resolveTargets(s *core.Strategy) *runTargets {
+	rt := &runTargets{strategy: s.Name, of: make(map[string]target.Target, len(s.Services))}
+	for _, svc := range s.Services {
+		kind := target.KindFor(svc)
+		t, ok := e.targets.Lookup(kind)
+		if !ok {
+			if rt.unknown == nil {
+				rt.unknown = make(map[string]error, 1)
+			}
+			rt.unknown[svc.Name] = fmt.Errorf(
+				"engine: no enactment target registered for kind %q (service %q; registered: %s)",
+				kind, svc.Name, strings.Join(e.targets.Kinds(), ", "))
+			continue
+		}
+		rt.of[svc.Name] = t
+		if !slices.Contains(rt.distinct, t) {
+			rt.distinct = append(rt.distinct, t)
+		}
+		if _, settles := t.(target.Settler); settles &&
+			(kind != target.KindProxy || len(svc.ProxyEndpoints()) > 0) {
+			rt.tracks = true
+		}
+	}
+	return rt
 }
 
-var (
-	_ Configurator = (*TargetConfigurator)(nil)
-	_ fleetManager = (*TargetConfigurator)(nil)
-)
-
-// NewTargetConfigurator creates a configurator dispatching to reg.
-func NewTargetConfigurator(reg *target.Registry) *TargetConfigurator {
-	return &TargetConfigurator{reg: reg, owners: make(map[fleetKey]target.Target, 8)}
-}
-
-// Registry returns the target registry the configurator dispatches to.
-func (tc *TargetConfigurator) Registry() *target.Registry { return tc.reg }
-
-// Configure implements Configurator: it resolves the service's target
-// kind, records the owning plugin, and applies the config through it.
-func (tc *TargetConfigurator) Configure(ctx context.Context, s *core.Strategy,
-	state *core.State, rc core.RoutingConfig, generation int64) error {
-
-	svc, ok := s.FindService(rc.Service)
+// apply enacts one routing config through its service's target.
+func (rt *runTargets) apply(ctx context.Context, s *core.Strategy, state *core.State,
+	rc core.RoutingConfig, generation int64) error {
+	t, ok := rt.of[rc.Service]
 	if !ok {
+		if err := rt.unknown[rc.Service]; err != nil {
+			return err
+		}
 		return fmt.Errorf("engine: routing for unknown service %q", rc.Service)
 	}
-	kind := target.KindFor(svc)
-	t, ok := tc.reg.Lookup(kind)
-	if !ok {
-		return fmt.Errorf("engine: no enactment target registered for kind %q (service %q; registered: %s)",
-			kind, rc.Service, strings.Join(tc.reg.Kinds(), ", "))
-	}
-	tc.mu.Lock()
-	tc.owners[fleetKey{strategy: s.Name, service: rc.Service}] = t
-	tc.mu.Unlock()
 	return t.Apply(ctx, s, state, rc, generation)
 }
 
-// strategyOwners returns the distinct targets that have enacted for the
-// strategy.
-func (tc *TargetConfigurator) strategyOwners(strategy string) []target.Target {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	seen := make(map[target.Target]bool, 2)
-	out := make([]target.Target, 0, 2)
-	for key, t := range tc.owners {
-		if key.strategy == strategy && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
+// settled tells the service's target that its routing_applied is published.
+func (rt *runTargets) settled(service string) {
+	if s, ok := rt.of[service].(target.Settler); ok {
+		s.Settled(rt.strategy, service)
 	}
-	return out
 }
 
-func (tc *TargetConfigurator) ownerOf(strategy, service string) target.Target {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.owners[fleetKey{strategy: strategy, service: service}]
-}
-
-// reconcile implements fleetManager: one convergence pass across every
-// target enacting for the strategy, merged and sorted by service.
-func (tc *TargetConfigurator) reconcile(ctx context.Context, strategy string) []FleetStatus {
+// convergence runs one observation pass on every target, merged and sorted
+// by service.
+func (rt *runTargets) convergence(ctx context.Context) []FleetStatus {
 	var out []FleetStatus
-	for _, t := range tc.strategyOwners(strategy) {
-		for _, c := range t.Convergence(ctx, strategy) {
-			out = append(out, FleetStatus(c))
-		}
+	for _, t := range rt.distinct {
+		out = append(out, t.Convergence(ctx, rt.strategy)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Service < out[j].Service })
 	return out
 }
 
-// reconcileInterval implements fleetManager: the fastest cadence any
-// registered paced target asks for (default 10s).
-func (tc *TargetConfigurator) reconcileInterval() time.Duration {
+// withCurrent runs fn, the publish of a report on the service, only while
+// the report's generation is current. Targets without a Gate cannot
+// re-check currency, so their reports publish as-is.
+func (rt *runTargets) withCurrent(service string, generation int64, fn func()) bool {
+	t := rt.of[service]
+	if t == nil {
+		return false
+	}
+	if g, ok := t.(target.Gate); ok {
+		return g.WithCurrent(rt.strategy, service, generation, fn)
+	}
+	fn()
+	return true
+}
+
+// reconcileInterval is the fastest cadence any of the run's paced targets
+// asks for (default 10s).
+func (rt *runTargets) reconcileInterval() time.Duration {
 	d := 10 * time.Second
-	for _, t := range tc.reg.All() {
+	for _, t := range rt.distinct {
 		if p, ok := t.(target.Paced); ok {
 			if v := p.ReconcileInterval(); v > 0 && v < d {
 				d = v
@@ -170,15 +137,13 @@ func (tc *TargetConfigurator) reconcileInterval() time.Duration {
 	return d
 }
 
-// passBudget implements fleetManager: the largest budget any registered
-// paced target needs, so the slowest plugin's pass is never cut short.
-func (tc *TargetConfigurator) passBudget() time.Duration {
+// passBudget is the largest budget any of the run's paced targets needs,
+// so the slowest target's pass is never cut short (default 10s).
+func (rt *runTargets) passBudget() time.Duration {
 	var d time.Duration
-	for _, t := range tc.reg.All() {
+	for _, t := range rt.distinct {
 		if p, ok := t.(target.Paced); ok {
-			if v := p.PassBudget(); v > d {
-				d = v
-			}
+			d = max(d, p.PassBudget())
 		}
 	}
 	if d == 0 {
@@ -187,76 +152,9 @@ func (tc *TargetConfigurator) passBudget() time.Duration {
 	return d
 }
 
-// settled implements fleetManager, routing to the owning target.
-func (tc *TargetConfigurator) settled(strategy, service string) {
-	if s, ok := tc.ownerOf(strategy, service).(target.Settler); ok {
-		s.Settled(strategy, service)
-	}
-}
-
-// withCurrent implements fleetManager. Targets without a publish gate
-// cannot re-check generation currency, so their reports publish as-is.
-func (tc *TargetConfigurator) withCurrent(strategy, service string, generation int64, fn func()) bool {
-	t := tc.ownerOf(strategy, service)
-	if t == nil {
-		return false
-	}
-	if g, ok := t.(target.Gate); ok {
-		return g.WithCurrent(strategy, service, generation, fn)
-	}
-	fn()
-	return true
-}
-
-// forget implements fleetManager: retire the strategy on every target
-// that enacted for it and drop the ownership records.
-func (tc *TargetConfigurator) forget(strategy string) {
-	for _, t := range tc.strategyOwners(strategy) {
-		t.Retire(strategy)
-	}
-	tc.mu.Lock()
-	for key := range tc.owners {
-		if key.strategy == strategy {
-			delete(tc.owners, key)
-		}
-	}
-	tc.mu.Unlock()
-}
-
-// tracks reports whether any of the strategy's services enacts onto a
-// target that actually reconciles convergence — a Settler plugin, with
-// the proxy kind additionally requiring declared proxy endpoints. The run
-// loop uses this (via configuratorTracksFleet) to decide whether to start
-// the per-run reconciler.
-func (tc *TargetConfigurator) tracks(s *core.Strategy) bool {
-	for _, svc := range s.Services {
-		kind := target.KindFor(svc)
-		t, ok := tc.reg.Lookup(kind)
-		if !ok {
-			continue
-		}
-		if _, settles := t.(target.Settler); !settles {
-			continue
-		}
-		if kind == target.KindProxy && len(svc.ProxyEndpoints()) == 0 {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// bindEngine forwards the engine to every registered target that wants
-// it: proxy plugins take the clock and metrics registry, clock-keeping
-// plugins (liveness TTLs) take the clock — so manual-clock tests drive
-// plugin time too.
-func (tc *TargetConfigurator) bindEngine(e *Engine) {
-	for _, t := range tc.reg.All() {
-		if b, ok := t.(interface{ bindEngine(*Engine) }); ok {
-			b.bindEngine(e)
-		}
-		if cb, ok := t.(target.ClockBinder); ok {
-			cb.BindClock(e.clk)
-		}
+// retire drops the strategy's state on every target.
+func (rt *runTargets) retire() {
+	for _, t := range rt.distinct {
+		t.Retire(rt.strategy)
 	}
 }

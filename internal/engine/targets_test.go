@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bifrost/internal/core"
+	"bifrost/internal/dsl"
 	"bifrost/internal/target"
 )
 
@@ -74,7 +75,40 @@ func targetFixtureStrategy() *core.Strategy {
 	}
 }
 
-func TestTargetConfiguratorDispatchesByKind(t *testing.T) {
+// dispatchYAML routes a proxy fleet service and a flag service in a
+// single final phase.
+const dispatchYAML = `
+name: multi-target
+deployment:
+  services:
+    - service: shop
+      proxy: r1
+      versions:
+        - name: stable
+          endpoint: 127.0.0.1:9001
+    - service: search
+      target: flag
+      versions:
+        - name: stable
+          endpoint: 127.0.0.1:9002
+strategy:
+  phases:
+    - phase: done
+      routes:
+        - route:
+            service: shop
+            weights:
+              stable: 100
+        - route:
+            service: search
+            weights:
+              stable: 100
+`
+
+// TestRunTargetsDispatchesByKind drives a run through the engine: each
+// service's routing reaches the target its kind selects, only the Settler
+// hears routing_applied, and every target is retired once at the end.
+func TestRunTargetsDispatchesByKind(t *testing.T) {
 	proxyT := &recordingTarget{}
 	flagT := &settlingTarget{}
 	reg := target.NewRegistry()
@@ -84,53 +118,55 @@ func TestTargetConfiguratorDispatchesByKind(t *testing.T) {
 	if err := reg.Register(target.KindFlag, flagT); err != nil {
 		t.Fatal(err)
 	}
-	tc := NewTargetConfigurator(reg)
-	s := targetFixtureStrategy()
-	ctx := context.Background()
+	eng := New(WithTargets(reg))
+	defer eng.Shutdown()
+	s, err := dsl.Compile(dispatchYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := eng.Enact(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, run); st.State != RunCompleted {
+		t.Fatalf("run %s (%s), want completed", st.State, st.Error)
+	}
 
-	if err := tc.Configure(ctx, s, nil, core.RoutingConfig{Service: "shop",
-		Weights: map[string]float64{"stable": 1}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.Configure(ctx, s, nil, core.RoutingConfig{Service: "search",
-		Weights: map[string]float64{"stable": 1}}, 1); err != nil {
-		t.Fatal(err)
-	}
 	if proxyT.applies != 1 || flagT.applies != 1 {
 		t.Errorf("applies = proxy %d, flag %d; want 1 each", proxyT.applies, flagT.applies)
 	}
-
-	// settled routes only to the owning target that implements Settler.
-	tc.settled("multi-target", "shop")
-	tc.settled("multi-target", "search")
+	// settled routes only to the target that implements Settler.
 	if flagT.settledCalls != 1 {
 		t.Errorf("flag settled calls = %d, want 1", flagT.settledCalls)
 	}
-
-	// forget retires every owner once and drops ownership.
-	tc.forget("multi-target")
+	// The run's end retires every target once.
 	if proxyT.retires != 1 || flagT.retires != 1 {
 		t.Errorf("retires = proxy %d, flag %d; want 1 each", proxyT.retires, flagT.retires)
 	}
-	if got := tc.ownerOf("multi-target", "shop"); got != nil {
-		t.Errorf("owner survives forget: %v", got)
+}
+
+// TestRunTargetsUnknownKind: a service whose kind has no registered target
+// fails when routed — with an empty registry, and with a fleet alone, which
+// is no flag target and must not receive a flag service's routing.
+func TestRunTargetsUnknownKind(t *testing.T) {
+	for _, eng := range []*Engine{
+		New(WithTargets(target.NewRegistry())),
+		New(WithConfigurator(NewFleetConfigurator())),
+	} {
+		rt := eng.resolveTargets(targetFixtureStrategy())
+		s := targetFixtureStrategy()
+		err := rt.apply(context.Background(), s, nil,
+			core.RoutingConfig{Service: "search", Weights: map[string]float64{"stable": 1}}, 1)
+		if err == nil {
+			t.Fatal("unregistered kind configured")
+		}
+		if want := `kind "flag"`; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
 	}
 }
 
-func TestTargetConfiguratorUnknownKind(t *testing.T) {
-	tc := NewTargetConfigurator(target.NewRegistry())
-	s := targetFixtureStrategy()
-	err := tc.Configure(context.Background(), s, nil,
-		core.RoutingConfig{Service: "search", Weights: map[string]float64{"stable": 1}}, 1)
-	if err == nil {
-		t.Fatal("unregistered kind configured")
-	}
-	if want := `kind "flag"`; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q lacks %q", err, want)
-	}
-}
-
-func TestTargetConfiguratorAggregatesConvergence(t *testing.T) {
+func TestRunTargetsAggregatesConvergence(t *testing.T) {
 	proxyT := &recordingTarget{reports: []target.Convergence{
 		{Service: "shop", Generation: 3, Replicas: 3, Acked: 3, Converged: true},
 	}}
@@ -140,18 +176,18 @@ func TestTargetConfiguratorAggregatesConvergence(t *testing.T) {
 	reg := target.NewRegistry()
 	reg.Register(target.KindProxy, proxyT)
 	reg.Register(target.KindFlag, flagT)
-	tc := NewTargetConfigurator(reg)
 	s := targetFixtureStrategy()
+	rt := New(WithTargets(reg)).resolveTargets(s)
 	ctx := context.Background()
 	rc := core.RoutingConfig{Weights: map[string]float64{"stable": 1}}
 	for _, svc := range []string{"shop", "search"} {
 		rc.Service = svc
-		if err := tc.Configure(ctx, s, nil, rc, 3); err != nil {
+		if err := rt.apply(ctx, s, nil, rc, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	got := tc.reconcile(ctx, "multi-target")
+	got := rt.convergence(ctx)
 	if len(got) != 2 {
 		t.Fatalf("reconcile reports = %+v, want 2", got)
 	}
@@ -164,22 +200,27 @@ func TestTargetConfiguratorAggregatesConvergence(t *testing.T) {
 	}
 }
 
-func TestTargetConfiguratorPacing(t *testing.T) {
+func TestRunTargetsPacing(t *testing.T) {
 	fast := &settlingTarget{every: 2 * time.Second, budget: 1 * time.Second}
 	slow := &settlingTarget{every: 8 * time.Second, budget: 6 * time.Second}
 	reg := target.NewRegistry()
 	reg.Register(target.KindFlag, fast)
 	reg.Register(target.KindCommand, slow)
-	tc := NewTargetConfigurator(reg)
-	if got := tc.reconcileInterval(); got != 2*time.Second {
+	s := targetFixtureStrategy()
+	s.Services = append(s.Services, core.Service{
+		Name: "ops", Target: "command", Command: []string{"true"},
+		Versions: []core.Version{{Name: "stable", Endpoint: "127.0.0.1:9003"}},
+	})
+	rt := New(WithTargets(reg)).resolveTargets(s)
+	if got := rt.reconcileInterval(); got != 2*time.Second {
 		t.Errorf("reconcileInterval = %v, want fastest (2s)", got)
 	}
-	if got := tc.passBudget(); got != 6*time.Second {
+	if got := rt.passBudget(); got != 6*time.Second {
 		t.Errorf("passBudget = %v, want largest (6s)", got)
 	}
 
 	// No paced targets → defaults.
-	empty := NewTargetConfigurator(target.NewRegistry())
+	empty := New(WithTargets(target.NewRegistry())).resolveTargets(s)
 	if got := empty.reconcileInterval(); got != 10*time.Second {
 		t.Errorf("default reconcileInterval = %v", got)
 	}
@@ -188,63 +229,63 @@ func TestTargetConfiguratorPacing(t *testing.T) {
 	}
 }
 
-func TestTargetConfiguratorWithCurrent(t *testing.T) {
+func TestRunTargetsWithCurrent(t *testing.T) {
 	gated := &settlingTarget{gateOK: false}
 	plain := &recordingTarget{}
 	reg := target.NewRegistry()
 	reg.Register(target.KindFlag, gated)
 	reg.Register(target.KindProxy, plain)
-	tc := NewTargetConfigurator(reg)
 	s := targetFixtureStrategy()
+	rt := New(WithTargets(reg)).resolveTargets(s)
 	ctx := context.Background()
 	rc := core.RoutingConfig{Weights: map[string]float64{"stable": 1}}
 	for _, svc := range []string{"shop", "search"} {
 		rc.Service = svc
-		if err := tc.Configure(ctx, s, nil, rc, 1); err != nil {
+		if err := rt.apply(ctx, s, nil, rc, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// No owner → publish refused.
-	if tc.withCurrent("multi-target", "ghost", 1, func() {}) {
+	// No target → publish refused.
+	if rt.withCurrent("ghost", 1, func() {}) {
 		t.Error("withCurrent succeeded for unowned service")
 	}
-	// Gated owner refusing → refused, fn not run.
+	// Gated target refusing → refused, fn not run.
 	ran := false
-	if tc.withCurrent("multi-target", "search", 1, func() { ran = true }) || ran {
+	if rt.withCurrent("search", 1, func() { ran = true }) || ran {
 		t.Error("stale gate let the publish through")
 	}
 	gated.gateOK = true
-	if !tc.withCurrent("multi-target", "search", 1, func() { ran = true }) || !ran {
+	if !rt.withCurrent("search", 1, func() { ran = true }) || !ran {
 		t.Error("current gate refused the publish")
 	}
-	// Owner without a Gate → publish as-is.
+	// Target without a Gate → publish as-is.
 	ran = false
-	if !tc.withCurrent("multi-target", "shop", 1, func() { ran = true }) || !ran {
+	if !rt.withCurrent("shop", 1, func() { ran = true }) || !ran {
 		t.Error("gate-less owner refused the publish")
 	}
 }
 
-func TestTargetConfiguratorTracks(t *testing.T) {
+func TestRunTargetsTracks(t *testing.T) {
 	reg := target.NewRegistry()
 	reg.Register(target.KindProxy, &settlingTarget{})
 	reg.Register(target.KindFlag, &settlingTarget{})
 	reg.Register(target.KindCommand, &recordingTarget{})
-	tc := NewTargetConfigurator(reg)
+	eng := New(WithTargets(reg))
 
 	// flag services track regardless of proxy endpoints.
-	if !tc.tracks(targetFixtureStrategy()) {
+	if !eng.resolveTargets(targetFixtureStrategy()).tracks {
 		t.Error("flag-target strategy not tracked")
 	}
 	// proxy services track only with declared endpoints.
 	proxyOnly := &core.Strategy{Name: "p", Services: []core.Service{{
 		Name: "s", Versions: []core.Version{{Name: "v", Endpoint: "e:1"}},
 	}}}
-	if tc.tracks(proxyOnly) {
+	if eng.resolveTargets(proxyOnly).tracks {
 		t.Error("endpoint-less proxy service tracked")
 	}
 	proxyOnly.Services[0].ProxyURLs = []string{"r1"}
-	if !tc.tracks(proxyOnly) {
+	if !eng.resolveTargets(proxyOnly).tracks {
 		t.Error("proxy fleet service not tracked")
 	}
 	// command services never track: the runner reports no convergence.
@@ -252,97 +293,55 @@ func TestTargetConfiguratorTracks(t *testing.T) {
 		Name: "s", Target: "command", Command: []string{"true"},
 		Versions: []core.Version{{Name: "v", Endpoint: "e:1"}},
 	}}}
-	if tc.tracks(cmd) {
+	if eng.resolveTargets(cmd).tracks {
 		t.Error("command-target strategy tracked")
-	}
-}
-
-// TestProxyTargetMatchesFleetConfigurator proves the "proxy" plugin is the
-// existing fleet delivery with zero behavior change: Apply pushes to every
-// replica, Convergence mirrors the configurator's reconcile pass, and the
-// gate honors generation currency.
-func TestProxyTargetMatchesFleetConfigurator(t *testing.T) {
-	s, rc, replicas, dial := fleetFixture()
-	fc := NewFleetConfigurator(dial, FleetRetry(fastRetry()))
-	pt := NewProxyTarget(fc)
-	ctx := context.Background()
-
-	if err := pt.Apply(ctx, s, nil, rc, 1); err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range replicas {
-		if r.generation() != 1 {
-			t.Errorf("replica %s at generation %d, want 1", name, r.generation())
-		}
-	}
-	pt.Settled(s.Name, "shop")
-	reports := pt.Convergence(ctx, s.Name)
-	if len(reports) != 1 {
-		t.Fatalf("convergence = %+v, want one service", reports)
-	}
-	rep := reports[0]
-	if rep.Service != "shop" || rep.Generation != 1 || rep.Replicas != 3 ||
-		rep.Acked != 3 || !rep.Converged {
-		t.Errorf("report = %+v", rep)
-	}
-
-	if !pt.WithCurrent(s.Name, "shop", 1, func() {}) {
-		t.Error("gate refused the current generation")
-	}
-	if pt.WithCurrent(s.Name, "shop", 99, func() {}) {
-		t.Error("gate accepted a foreign generation")
-	}
-
-	pt.Retire(s.Name)
-	if got := pt.Convergence(ctx, s.Name); len(got) != 0 {
-		t.Errorf("convergence after retire = %+v", got)
 	}
 }
 
 // TestFleetWithCurrentStaleGeneration is the regression test for the
 // stale-report race: a convergence report snapshotted for generation N
-// must not publish once generation N+1 has superseded it — withCurrent
-// re-checks currency under the same lock Configure takes.
+// must not publish once generation N+1 has superseded it — WithCurrent
+// re-checks currency under the same lock Apply takes.
 func TestFleetWithCurrentStaleGeneration(t *testing.T) {
 	s, rc, _, dial := fleetFixture()
 	fc := NewFleetConfigurator(dial, FleetRetry(fastRetry()))
 	ctx := context.Background()
 
-	if err := fc.Configure(ctx, s, nil, rc, 1); err != nil {
+	if err := fc.Apply(ctx, s, nil, rc, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// Mid-settling (routing_applied not journaled yet): no publishes.
-	if fc.withCurrent(s.Name, "shop", 1, func() {}) {
+	if fc.WithCurrent(s.Name, "shop", 1, func() {}) {
 		t.Error("withCurrent passed while settling")
 	}
-	fc.settled(s.Name, "shop")
+	fc.Settled(s.Name, "shop")
 	ran := false
-	if !fc.withCurrent(s.Name, "shop", 1, func() { ran = true }) || !ran {
+	if !fc.WithCurrent(s.Name, "shop", 1, func() { ran = true }) || !ran {
 		t.Error("withCurrent refused the settled current generation")
 	}
 
 	// Generation 2 supersedes 1 — exactly the filter-to-publish window the
 	// race lived in: a pass that snapshotted gen-1 reports must now find
 	// the gate closed.
-	if err := fc.Configure(ctx, s, nil, rc, 2); err != nil {
+	if err := fc.Apply(ctx, s, nil, rc, 2); err != nil {
 		t.Fatal(err)
 	}
 	ran = false
-	if fc.withCurrent(s.Name, "shop", 1, func() { ran = true }) || ran {
+	if fc.WithCurrent(s.Name, "shop", 1, func() { ran = true }) || ran {
 		t.Error("stale generation-1 report slipped through the publish gate")
 	}
 	// And the new generation stays gated until it settles.
-	if fc.withCurrent(s.Name, "shop", 2, func() {}) {
+	if fc.WithCurrent(s.Name, "shop", 2, func() {}) {
 		t.Error("withCurrent passed for a still-settling generation")
 	}
-	fc.settled(s.Name, "shop")
-	if !fc.withCurrent(s.Name, "shop", 2, func() {}) {
+	fc.Settled(s.Name, "shop")
+	if !fc.WithCurrent(s.Name, "shop", 2, func() {}) {
 		t.Error("withCurrent refused the new settled generation")
 	}
 
 	// Unknown fleets never publish.
-	if fc.withCurrent(s.Name, "ghost", 1, func() {}) {
+	if fc.WithCurrent(s.Name, "ghost", 1, func() {}) {
 		t.Error("withCurrent passed for unknown service")
 	}
 }

@@ -162,7 +162,7 @@ strategy:
 }
 
 // TestRemoteProxyReconfigurationOverHTTP covers the production wiring: the
-// engine reaches proxies via their admin API (HTTPConfigurator), exactly as
+// engine reaches proxies via their admin API (the proxy fleet), exactly as
 // cmd/bifrost-engine and cmd/bifrost-proxy are deployed.
 func TestRemoteProxyReconfigurationOverHTTP(t *testing.T) {
 	tb, err := NewTestbed(TestbedConfig{WithProxies: true, Products: 4, Users: 2})

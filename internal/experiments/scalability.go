@@ -18,6 +18,7 @@ import (
 	"bifrost/internal/metrics"
 	"bifrost/internal/proxy"
 	"bifrost/internal/sysmon"
+	"bifrost/internal/target"
 )
 
 // CPUStats summarizes the engine-process CPU utilization samples collected
@@ -124,14 +125,15 @@ func summarizeCPU(samples []float64) CPUStats {
 // tolerantConfigurator swallows proxy generation conflicts. When many
 // strategies reconfigure the same proxy in parallel — the setup of §5.2.1 —
 // a push may arrive after a newer one; the experiment treats that as benign
-// (the paper's strategies were identical) rather than failing the run.
+// (the paper's strategies were identical) rather than failing the run. It
+// forwards no settling, so the sweeps run without a reconciler.
 type tolerantConfigurator struct {
-	inner engine.Configurator
+	inner target.Target
 }
 
-func (t tolerantConfigurator) Configure(ctx context.Context, s *core.Strategy,
+func (t tolerantConfigurator) Apply(ctx context.Context, s *core.Strategy,
 	state *core.State, rc core.RoutingConfig, gen int64) error {
-	err := t.inner.Configure(ctx, s, state, rc, gen)
+	err := t.inner.Apply(ctx, s, state, rc, gen)
 	var prob *httpx.Problem
 	if errors.As(err, &prob) && prob.Code == proxy.CodeStaleGeneration {
 		return nil
@@ -142,6 +144,12 @@ func (t tolerantConfigurator) Configure(ctx context.Context, s *core.Strategy,
 	}
 	return err
 }
+
+func (t tolerantConfigurator) Convergence(ctx context.Context, strategy string) []target.Convergence {
+	return t.inner.Convergence(ctx, strategy)
+}
+
+func (t tolerantConfigurator) Retire(strategy string) { t.inner.Retire(strategy) }
 
 // ScalabilityStrategyYAML renders the modified release strategy of §5.2.1:
 // the same four phases, but only product and product A ("the checks and
@@ -297,7 +305,7 @@ func runParallelStrategiesStep(ctx context.Context, n int, cfg ParallelStrategie
 	// As in §5.2.1, no load targets the case-study services; the engine
 	// and its check/query/routing traffic are the system under test.
 	eng := engine.New(engine.WithConfigurator(
-		tolerantConfigurator{inner: engine.HTTPConfigurator{}}))
+		tolerantConfigurator{inner: engine.NewFleetConfigurator()}))
 	defer eng.Shutdown()
 
 	// Give the scraper one round so check queries find data.
@@ -422,7 +430,7 @@ func runParallelChecksStep(ctx context.Context, n int, cfg ParallelChecksConfig)
 	}
 	defer tb.Close()
 	eng := engine.New(engine.WithConfigurator(
-		tolerantConfigurator{inner: engine.HTTPConfigurator{}}))
+		tolerantConfigurator{inner: engine.NewFleetConfigurator()}))
 	defer eng.Shutdown()
 	tb.Scraper.ScrapeOnce(ctx)
 

@@ -230,7 +230,7 @@ func NewTestbed(cfg TestbedConfig) (tb *Testbed, err error) {
 
 	// Engine with its own registry, scraped like the cAdvisor'd engine
 	// container of the paper.
-	tb.Engine = engine.New(engine.WithConfigurator(engine.HTTPConfigurator{}))
+	tb.Engine = engine.New(engine.WithConfigurator(engine.NewFleetConfigurator()))
 	if tb.EngineSrv, err = tb.serve(tb.Engine.Registry().Handler()); err != nil {
 		return nil, err
 	}

@@ -10,48 +10,29 @@
 //	runs/<enc(run)>/seg-NNNNNNNN.wal     per-run segments
 //	runs/<enc(run)>/snap-<seq>.json      per-run snapshot
 //	runs/<enc(run)>/fence, fence.lock    fencing-token ownership (HA mode)
-//	legacy/                              pre-partition files, kept after migration
 //
-// OpenSet transparently migrates the legacy single-directory layout (every
-// run's records interleaved in one segment sequence): records are split
-// byte-exactly by run into per-run partitions, heartbeat records (which
-// carry no run) are duplicated into every partition that needs a crash-time
-// estimate, and the caller-supplied SplitSnapshot breaks the engine-wide
-// snapshot into per-run snapshots at the same covered sequence.
+// OpenSet refuses a root holding segments or snapshots directly, the
+// single-directory layout from before partitions: it is not migrated.
 package journal
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 )
 
-const (
-	runsDir   = "runs"
-	legacyDir = "legacy"
-)
-
-// SplitSnapshot breaks a legacy engine-wide snapshot payload into one
-// payload per run. The journal treats snapshot payloads as opaque, so the
-// schema knowledge lives with the caller (the engine's mirror).
-type SplitSnapshot func(snapshot []byte) (map[string][]byte, error)
+const runsDir = "runs"
 
 // SetOptions tune a partition set.
 type SetOptions struct {
 	// Journal holds the per-partition options. FencingToken is ignored
 	// here — it is supplied per partition via Set.Partition.
 	Journal Options
-	// SplitSnapshot is required to migrate a legacy snapshot; without it a
-	// legacy directory containing a snapshot fails to migrate (records-only
-	// legacy directories still migrate fine).
-	SplitSnapshot SplitSnapshot
 }
 
 // Set is an open collection of per-run journal partitions. All methods are
@@ -65,17 +46,17 @@ type Set struct {
 	closed bool
 }
 
-// OpenSet opens (or creates) the partition set rooted at root, migrating a
-// legacy single-directory journal if one is found there. Partitions are
-// opened lazily by Partition; OpenSet itself only prepares the directory.
+// OpenSet opens (or creates) the partition set rooted at root. Partitions
+// are opened lazily by Partition; OpenSet itself only prepares the
+// directory.
 func OpenSet(root string, opts SetOptions) (*Set, error) {
 	opts.Journal = opts.Journal.withDefaults()
 	opts.Journal.FencingToken = 0
+	if err := refuseLegacy(root); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(filepath.Join(root, runsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if err := migrateLegacy(root, opts); err != nil {
-		return nil, err
 	}
 	return &Set{root: root, opts: opts, parts: make(map[string]*Journal, 8)}, nil
 }
@@ -246,207 +227,22 @@ func decodePartitionName(enc string) (string, error) {
 	return b.String(), nil
 }
 
-// migrateLegacy converts a pre-partition single-directory journal (segments
-// and snapshot directly under root) into per-run partitions. The legacy
-// directory's flock is held for the duration so a still-running old engine
-// cannot append mid-migration; afterwards the legacy files are moved to
-// root/legacy/ (kept, not deleted — they are the rollback story).
-func migrateLegacy(root string, opts SetOptions) error {
+// refuseLegacy fails on a root holding segments or snapshots directly: a
+// journal written before partitions, whose runs this set cannot see.
+func refuseLegacy(root string) error {
 	entries, err := os.ReadDir(root)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	var segs []segment
-	legacySnap := ""
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
-			var idx int
-			if _, err := fmt.Sscanf(name, segPrefix+"%d"+segSuffix, &idx); err == nil {
-				segs = append(segs, segment{path: filepath.Join(root, name), index: idx})
-			}
-		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix):
-			legacySnap = name // loadLegacySnapshot re-picks the newest below
-		}
-	}
-	if len(segs) == 0 && legacySnap == "" {
-		return nil // nothing legacy here
-	}
-
-	// Exclude any live legacy writer for the duration of the migration.
-	lf, err := os.OpenFile(filepath.Join(root, "journal.lock"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer lf.Close()
-	if err := syscall.Flock(int(lf.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		return fmt.Errorf("%w: %s (cannot migrate a live legacy journal)", ErrLocked, root)
-	}
-	defer func() { _ = syscall.Flock(int(lf.Fd()), syscall.LOCK_UN) }()
-
-	// Newest decodable legacy snapshot, split per run.
-	lj := &Journal{dir: root}
-	if err := lj.loadSnapshot(); err != nil {
-		return err
-	}
-	perRun := map[string][]byte{}
-	if lj.snapshot != nil {
-		if opts.SplitSnapshot == nil {
-			return errors.New("journal: legacy snapshot present but no SplitSnapshot configured")
-		}
-		perRun, err = opts.SplitSnapshot(lj.snapshot)
-		if err != nil {
-			return fmt.Errorf("journal: splitting legacy snapshot: %w", err)
-		}
-	}
-
-	m := &migration{root: root, snapshotSeq: lj.snapshotSeq, files: map[string]*bufio.Writer{}, handles: map[string]*os.File{}}
-	defer m.closeAll()
-	for run, payload := range perRun {
-		if err := m.writeSnapshot(run, payload, lj.snapshotSeq); err != nil {
-			return err
-		}
-		if _, err := m.writer(run); err != nil {
-			return err
-		}
-	}
-
-	// Split the record stream byte-exactly by run. Heartbeats (Run == "")
-	// carry the crash-time estimate every live run needs, so they fan out
-	// to every partition known at that point in the stream.
-	sort.Slice(segs, func(a, b int) bool { return segs[a].index < segs[b].index })
-	for _, seg := range segs {
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		err = readRecords(f, func(rec Record, line []byte) error {
-			if rec.Run == "" {
-				return m.appendAll(line)
-			}
-			w, err := m.writer(rec.Run)
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(line)
-			return err
-		})
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if err := m.finish(); err != nil {
-		return err
-	}
-
-	// Move the legacy files aside (segments, snapshots, and stray tmp
-	// files); the partition tree is now the source of truth.
-	backup := filepath.Join(root, legacyDir)
-	if err := os.MkdirAll(backup, 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	entries, err = os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
-		keep := strings.HasPrefix(name, segPrefix) || strings.HasPrefix(name, snapPrefix)
-		if !keep {
-			continue
-		}
-		if err := os.Rename(filepath.Join(root, name), filepath.Join(backup, name)); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	syncDir(root)
-	return nil
-}
-
-// migration tracks the partition files being built during a legacy split.
-type migration struct {
-	root        string
-	snapshotSeq int64
-	files       map[string]*bufio.Writer
-	handles     map[string]*os.File
-}
-
-func (m *migration) dir(run string) string {
-	return filepath.Join(m.root, runsDir, encodePartitionName(run))
-}
-
-func (m *migration) writer(run string) (*bufio.Writer, error) {
-	if w, ok := m.files[run]; ok {
-		return w, nil
-	}
-	dir := m.dir(run)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 64<<10)
-	m.files[run] = w
-	m.handles[run] = f
-	return w, nil
-}
-
-func (m *migration) writeSnapshot(run string, payload []byte, seq int64) error {
-	dir := m.dir(run)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	raw, err := json.Marshal(snapFile{Seq: seq, Data: payload})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
-	if err := writeFileSync(final+".tmp", raw); err != nil {
-		return err
-	}
-	if err := os.Rename(final+".tmp", final); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	syncDir(dir)
-	return nil
-}
-
-func (m *migration) appendAll(line []byte) error {
-	for _, w := range m.files {
-		if _, err := w.Write(line); err != nil {
-			return err
+		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix) ||
+			strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix) {
+			return fmt.Errorf("journal: %s holds a pre-partition journal (%s), which is not supported; move it aside or point the engine at an empty directory", root, name)
 		}
 	}
 	return nil
-}
-
-func (m *migration) finish() error {
-	for run, w := range m.files {
-		if err := w.Flush(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		f := m.handles[run]
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		delete(m.files, run)
-		delete(m.handles, run)
-		syncDir(m.dir(run))
-	}
-	return nil
-}
-
-func (m *migration) closeAll() {
-	for run, f := range m.handles {
-		_ = f.Close()
-		delete(m.handles, run)
-		delete(m.files, run)
-	}
 }

@@ -1,256 +1,26 @@
 package journal
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// splitByRun is the test stand-in for the engine's snapshot splitter: the
-// legacy snapshot is a JSON object keyed by run name.
-func splitByRun(snapshot []byte) (map[string][]byte, error) {
-	var byRun map[string]json.RawMessage
-	if err := json.Unmarshal(snapshot, &byRun); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(byRun))
-	for run, payload := range byRun {
-		out[run] = payload
-	}
-	return out, nil
-}
-
-// seedLegacy writes an interleaved multi-run record stream (with heartbeats)
-// directly into root using the pre-partition single-directory layout, and
-// returns the raw segment bytes grouped per run exactly as the migration
-// must reproduce them: a run's own records plus every heartbeat appended
-// after the run first appeared.
-func seedLegacy(t *testing.T, root string) map[string][]byte {
-	t.Helper()
-	j := mustOpen(t, root, Options{FlushInterval: -1})
-	type step struct {
-		seq int64
-		run string // "" = heartbeat, fans out to every run seen so far
-	}
-	steps := []step{
-		{1, "alpha"}, {2, "beta/v2"}, {3, "alpha"}, {4, ""},
-		{5, "gamma"}, {6, "beta/v2"}, {7, ""}, {8, "alpha"}, {9, "gamma"},
-	}
-	for _, s := range steps {
-		typ := "event"
-		if s.run == "" {
-			typ = "heartbeat"
-		}
-		if err := j.Append(rec(s.seq, s.run, typ)); err != nil {
-			t.Fatalf("seed append seq %d: %v", s.seq, err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("seed close: %v", err)
-	}
-
-	// Re-read the raw bytes and build the per-run expectation from the
-	// actual lines on disk, so the comparison below is byte-exact rather
-	// than re-marshalled.
-	segs, _ := filepath.Glob(filepath.Join(root, segPrefix+"*"))
-	sort.Strings(segs)
-	want := map[string][]byte{}
-	seen := map[string]bool{}
-	for _, seg := range segs {
-		raw, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.SplitAfter(string(raw), "\n") {
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			var r Record
-			if err := json.Unmarshal([]byte(line), &r); err != nil {
-				t.Fatalf("seed line does not decode: %v", err)
-			}
-			if r.Run == "" {
-				for run := range seen {
-					want[run] = append(want[run], line...)
-				}
-				continue
-			}
-			seen[r.Run] = true
-			want[r.Run] = append(want[r.Run], line...)
-		}
-	}
-	return want
-}
-
-// TestLegacyMigrationSplitsByteExact: opening a Set over a legacy
-// single-directory journal splits the interleaved stream into per-run
-// partitions whose segment bytes are identical to the legacy lines — no
-// re-encoding, no drops — with heartbeats fanned out to every run live at
-// that point, and the legacy files preserved under legacy/ as the rollback.
-func TestLegacyMigrationSplitsByteExact(t *testing.T) {
-	root := t.TempDir()
-	want := seedLegacy(t, root)
-
-	set, err := OpenSet(root, SetOptions{Journal: Options{FlushInterval: -1}})
-	if err != nil {
-		t.Fatalf("OpenSet: %v", err)
-	}
-	defer set.Close()
-
-	runs, err := set.List()
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if wantRuns := []string{"alpha", "beta/v2", "gamma"}; !equalStrings(runs, wantRuns) {
-		t.Fatalf("List = %v, want %v", runs, wantRuns)
-	}
-
-	for run, wantRaw := range want {
-		dir := filepath.Join(root, runsDir, encodePartitionName(run))
-		segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
-		var got []byte
-		sort.Strings(segs)
-		for _, seg := range segs {
-			raw, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, raw...)
-		}
-		if string(got) != string(wantRaw) {
-			t.Errorf("partition %q bytes differ from legacy stream:\ngot:\n%swant:\n%s",
-				run, got, wantRaw)
-		}
-	}
-
-	// Replay through the partition API agrees, and the partition stays
-	// appendable (fresh journal semantics, not a read-only relic).
-	p, err := set.Partition("alpha", 0)
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
-	var seqs []int64
-	if err := p.Replay(func(r Record) error {
-		seqs = append(seqs, r.Seq)
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if want := []int64{1, 3, 4, 7, 8}; !equalSeqs(seqs, want) {
-		t.Fatalf("alpha replay seqs = %v, want %v", seqs, want)
-	}
-	if err := p.Append(rec(10, "alpha", "event")); err != nil {
-		t.Fatalf("append to migrated partition: %v", err)
-	}
-
-	// The legacy files moved wholesale to legacy/; the root keeps none, so
-	// a second OpenSet is a no-op rather than a double migration.
-	if left, _ := filepath.Glob(filepath.Join(root, segPrefix+"*")); len(left) != 0 {
-		t.Fatalf("legacy segments still in root: %v", left)
-	}
-	if kept, _ := filepath.Glob(filepath.Join(root, legacyDir, segPrefix+"*")); len(kept) == 0 {
-		t.Fatal("legacy segments were not preserved under legacy/")
-	}
-	set.Close()
-	set2, err := OpenSet(root, SetOptions{Journal: Options{FlushInterval: -1}})
-	if err != nil {
-		t.Fatalf("second OpenSet: %v", err)
-	}
-	defer set2.Close()
-	p2, err := set2.Partition("alpha", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := p2.Replay(func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("alpha has %d records after reopen, want 6 (5 migrated + 1 appended)", n)
-	}
-}
-
-// TestLegacyMigrationSplitsSnapshot: an engine-wide legacy snapshot is split
-// per run at the same covered sequence, and refusing to guess — migration
-// fails loudly when no splitter is configured.
-func TestLegacyMigrationSplitsSnapshot(t *testing.T) {
+// TestOpenSetRefusesPrePartitionJournal: a root holding segments directly,
+// the layout from before partitions, is refused with an error naming it
+// rather than opened as an empty set that silently hides its runs.
+func TestOpenSetRefusesPrePartitionJournal(t *testing.T) {
 	root := t.TempDir()
 	j := mustOpen(t, root, Options{FlushInterval: -1})
-	for i := int64(1); i <= 4; i++ {
-		run := "alpha"
-		if i%2 == 0 {
-			run = "beta"
-		}
-		if err := j.Append(rec(i, run, "event")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := []byte(`{"alpha":{"phase":"canary"},"beta":{"phase":"end"}}`)
-	if err := j.Compact(snap, 3); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if err := j.Append(rec(5, "alpha", "event")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	if _, err := OpenSet(root, SetOptions{Journal: Options{FlushInterval: -1}}); err == nil {
-		t.Fatal("OpenSet migrated a snapshot without a SplitSnapshot")
-	}
-
-	set, err := OpenSet(root, SetOptions{
-		Journal:       Options{FlushInterval: -1},
-		SplitSnapshot: splitByRun,
-	})
-	if err != nil {
-		t.Fatalf("OpenSet with splitter: %v", err)
-	}
-	defer set.Close()
-
-	for run, wantPayload := range map[string]string{
-		`alpha`: `{"phase":"canary"}`,
-		`beta`:  `{"phase":"end"}`,
-	} {
-		p, err := set.Partition(run, 0)
-		if err != nil {
-			t.Fatalf("Partition %s: %v", run, err)
-		}
-		payload, seq := p.Snapshot()
-		if seq != 3 || string(payload) != wantPayload {
-			t.Errorf("%s snapshot = %q @ %d, want %q @ 3", run, payload, seq, wantPayload)
-		}
-	}
-
-	// Records after the snapshot boundary replayed; alpha got seq 3 and 5.
-	p, _ := set.Get("alpha")
-	var seqs []int64
-	if err := p.Replay(func(r Record) error {
-		seqs = append(seqs, r.Seq)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []int64{3, 5}; !equalSeqs(seqs, want) {
-		t.Fatalf("alpha post-snapshot replay = %v, want %v", seqs, want)
-	}
-}
-
-// TestLegacyMigrationRefusesLiveJournal: a still-running old engine holds
-// the legacy flock; migrating under it would split a moving stream.
-func TestLegacyMigrationRefusesLiveJournal(t *testing.T) {
-	root := t.TempDir()
-	j := mustOpen(t, root, Options{FlushInterval: -1})
-	defer j.Close()
 	if err := j.Append(rec(1, "alpha", "event")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSet(root, SetOptions{Journal: Options{FlushInterval: -1}}); !errors.Is(err, ErrLocked) {
-		t.Fatalf("OpenSet over a live legacy journal = %v, want ErrLocked", err)
+	j.Close()
+	_, err := OpenSet(root, SetOptions{Journal: Options{FlushInterval: -1}})
+	if err == nil || !strings.Contains(err.Error(), root) {
+		t.Fatalf("OpenSet over a pre-partition journal = %v, want an error naming %s", err, root)
 	}
 }
 
@@ -370,28 +140,4 @@ func copyTree(t *testing.T, src, dst string) {
 	if err != nil {
 		t.Fatalf("copy seed tree: %v", err)
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalSeqs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

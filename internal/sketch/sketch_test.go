@@ -174,10 +174,10 @@ func TestSummaryRoundtrip(t *testing.T) {
 
 func TestFromSummaryRejectsBadWire(t *testing.T) {
 	cases := []Summary{
-		{Alpha: 0, Count: 1},                     // bad alpha
-		{Alpha: 2, Count: 1},                     // bad alpha
-		{Alpha: 0.01, PosIdx: []int{1}},          // misaligned slices
-		{Alpha: 0.01, Count: 5, Zero: 1},         // counts inconsistent
+		{Alpha: 0, Count: 1},                                           // bad alpha
+		{Alpha: 2, Count: 1},                                           // bad alpha
+		{Alpha: 0.01, PosIdx: []int{1}},                                // misaligned slices
+		{Alpha: 0.01, Count: 5, Zero: 1},                               // counts inconsistent
 		{Alpha: 0.01, Count: 1, PosIdx: []int{3}, PosCnt: []uint64{2}}, // inconsistent
 	}
 	for i, c := range cases {

@@ -65,7 +65,7 @@ func TestFlagTargetEndToEnd(t *testing.T) {
 	if err := reg.Register(target.KindFlag, store); err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.WithConfigurator(engine.NewTargetConfigurator(reg)))
+	eng := engine.New(engine.WithTargets(reg))
 	defer eng.Shutdown()
 	ts := httptest.NewServer(store.Handler())
 	defer ts.Close()

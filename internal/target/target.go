@@ -73,15 +73,20 @@ type Target interface {
 
 // Convergence is one service's convergence report: how many of the
 // target's replicas (proxy replicas, SDK instances, …) carry the current
-// generation. Field layout mirrors engine.FleetStatus so reports surface
-// through Status.Fleet unchanged.
+// generation. The engine surfaces it unchanged as engine.FleetStatus.
 type Convergence struct {
-	Service    string   `json:"service"`
-	Generation int64    `json:"generation"`
-	Replicas   int      `json:"replicas"`
-	Acked      int      `json:"acked"`
-	Lagging    []string `json:"lagging,omitempty"`
-	Converged  bool     `json:"converged"`
+	Service string `json:"service"`
+	// Generation is the service's desired routing generation.
+	Generation int64 `json:"generation"`
+	// Replicas is the fleet size; Acked counts replicas observed at (or
+	// beyond) Generation.
+	Replicas int `json:"replicas"`
+	Acked    int `json:"acked"`
+	// Lagging lists the replicas behind Generation or unreachable.
+	Lagging []string `json:"lagging,omitempty"`
+	// Converged is Acked == Replicas. A degraded fleet still serves
+	// traffic — on the routing the lagging replicas last acked.
+	Converged bool `json:"converged"`
 }
 
 // Optional capability interfaces. The engine feature-detects these on a
