@@ -3,8 +3,8 @@
 // Two implementations of a checkout endpoint convert at different rates.
 // A Bifrost proxy splits traffic 50/50 with sticky cookie sessions (the
 // same client always hits the same variant); after the experiment window,
-// the conversion counts are compared with a two-proportion z-test and the
-// winner is rolled out.
+// the two conversion rates are compared with Welch's t-test and the winner
+// is rolled out.
 //
 //	go run ./examples/abtest
 package main
@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"bifrost"
-	"bifrost/internal/abtest"
 	"bifrost/internal/httpx"
+	"bifrost/internal/stats"
 )
 
 type variant struct {
@@ -51,6 +51,14 @@ func newVariant(name string, conversion float64, seed int64) (*variant, error) {
 	srv.Start()
 	v.srv = srv
 	return v, nil
+}
+
+// arm returns the variant's trials with the mean and unbiased variance of
+// its conversions (stats.Welch rejects an arm of fewer than two trials).
+func (v *variant) arm() (n int, mean, variance float64) {
+	n = int(v.trials.Load())
+	mean = float64(v.successes.Load()) / float64(n)
+	return n, mean, mean * (1 - mean) * float64(n) / float64(n-1)
 }
 
 func main() {
@@ -151,22 +159,30 @@ strategy:
 		}
 	}
 
-	verdict, err := abtest.Proportions(
-		int(a.successes.Load()), int(a.trials.Load()),
-		int(b.successes.Load()), int(b.trials.Load()),
-		0.05,
-	)
+	// Each arm is a Bernoulli sample: n trials with mean p and unbiased
+	// variance p(1−p)·n/(n−1).
+	na, pa, va := a.arm()
+	nb, pb, vb := b.arm()
+	tt, err := stats.Welch(na, pa, va, nb, pb, vb)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("A: %d/%d conversions   B: %d/%d conversions\n",
 		a.successes.Load(), a.trials.Load(), b.successes.Load(), b.trials.Load())
-	fmt.Printf("verdict: %s\n", verdict)
-
-	// Roll out the winner (or keep the split on a tie).
-	winner, winnerURL := "checkoutA", a.srv.URL()
-	if verdict.Winner == "B" {
+	// Welch's P is one-sided for "A converts better"; the two-sided test
+	// at α = 0.05 splits α between the two directions.
+	const alpha = 0.05
+	winner, winnerURL := "", ""
+	switch {
+	case tt.P < alpha/2:
+		winner, winnerURL = "checkoutA", a.srv.URL()
+	case 1-tt.P < alpha/2:
 		winner, winnerURL = "checkoutB", b.srv.URL()
+	}
+	fmt.Printf("welch: t=%.2f df=%.0f p(A>B)=%.4f\n", tt.T, tt.DF, tt.P)
+	if winner == "" {
+		fmt.Println("no significant difference: keeping the 50/50 split")
+		return eng.Abort(strategy.Name)
 	}
 	_ = enacted.Strategy() // the strategy object remains inspectable
 	fmt.Printf("rolling out %s to 100%%\n", winner)

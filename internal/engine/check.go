@@ -19,11 +19,13 @@ type interruptMsg struct {
 }
 
 // checkRunner is one check's τ timer within a state (§3.2 and Figure 3 of
-// the paper): its schedule and its tallies. The run loop owns it: the loop
-// starts each due execution, records each result and reads the tallies
-// when the state ends, so nothing here is shared. Statistical checks
-// (compare, sequential, burnrate, changepoint) run their Analyzer instead
-// of the boolean evaluator and carry a typed Verdict.
+// the paper): its schedule and what δ needs of its results. The run loop
+// owns it: the loop starts each due execution, records each result and
+// reads the outcome when the state ends, so nothing here is shared. Every
+// recorded execution is published as check_executed, which the run's
+// status reduces into Status.Checks. Statistical checks (compare,
+// sequential, burnrate, changepoint) run their Analyzer instead of the
+// boolean evaluator and carry a typed Verdict.
 type checkRunner struct {
 	check *core.Check
 	// scheduled is how many timed executions the state runs, started how
@@ -37,12 +39,10 @@ type checkRunner struct {
 	inflight           bool
 	due                time.Time
 
-	executions   int
-	successes    int
-	failures     int
-	inconclusive int
-	lastError    string
-	lastVerdict  core.Verdict
+	// successes counts a basic check's passing executions, lastVerdict is
+	// a statistical check's latest verdict: what mappedOutcome maps.
+	successes   int
+	lastVerdict core.Verdict
 	// concluded marks a sequential or changepoint check's sticky decision.
 	concluded bool
 }
@@ -112,7 +112,7 @@ func (cr *checkRunner) runOnce(ctx context.Context, r *Run, state string) {
 	cr.record(ctx, r, state, evaluate(ctx, cr.check))
 }
 
-// record tallies one finished execution, publishes it, and returns the
+// record counts one finished execution, publishes it, and returns the
 // interrupt its result asks for, if any. ctx is the context the execution
 // ran under. A failed execution whose context was cancelled (by an
 // interrupt, an operator decision, pause, suspend, evict or abort) is
@@ -131,22 +131,20 @@ func (cr *checkRunner) record(ctx context.Context, r *Run, state string, res exe
 		return nil
 	}
 	r.engine.mChecks.Inc()
-	cr.executions++
 	c := cr.check
 	if c.Analyze == nil {
 		ok := res.ok && res.err == nil
-		if res.err != nil {
-			cr.lastError = res.err.Error()
-		}
 		if ok {
 			cr.successes++
-		} else {
-			cr.failures++
 		}
-		r.publish(Event{
+		ev := Event{
 			Type: EventCheckExecuted, State: state, Check: c.Name,
 			Outcome: boolToInt(ok), Time: now,
-		})
+		}
+		if res.err != nil {
+			ev.Detail = res.err.Error() // reduced into CheckStatus.LastError
+		}
+		r.publish(ev)
 		if ok || c.Kind != core.ExceptionCheck {
 			return nil
 		}
@@ -166,17 +164,6 @@ func (cr *checkRunner) record(ctx context.Context, r *Run, state string, res exe
 		v = core.Verdict{Decision: core.DecisionContinue, Err: res.err.Error()}
 	}
 	cr.lastVerdict = v
-	switch v.Decision {
-	case core.DecisionPass:
-		cr.successes++
-	case core.DecisionFail:
-		cr.failures++
-	default:
-		cr.inconclusive++
-	}
-	if v.Err != "" {
-		cr.lastError = v.Err
-	}
 	r.publish(Event{
 		Type: EventCheckExecuted, State: state, Check: c.Name,
 		Outcome: boolToInt(v.Decision == core.DecisionPass), Verdict: &v, Time: now,
@@ -250,23 +237,6 @@ func (cr *checkRunner) mappedOutcome() (int, error) {
 		return cr.successes, nil
 	}
 	return cr.check.MapOutcome(cr.successes)
-}
-
-func (cr *checkRunner) snapshot() CheckStatus {
-	st := CheckStatus{
-		Name:         cr.check.Name,
-		Kind:         cr.check.Kind.String(),
-		Executions:   cr.executions,
-		Successes:    cr.successes,
-		Failures:     cr.failures,
-		Inconclusive: cr.inconclusive,
-		LastError:    cr.lastError,
-	}
-	if cr.check.Kind.Statistical() && cr.executions > 0 {
-		v := cr.lastVerdict
-		st.Verdict = &v
-	}
-	return st
 }
 
 func boolToInt(b bool) int {

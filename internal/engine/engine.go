@@ -316,10 +316,6 @@ func (e *Engine) EnactSource(s *core.Strategy, source string) (*Run, error) {
 		done:     make(chan struct{}),
 		evicted:  make(chan struct{}),
 		controls: make(chan controlMsg),
-		status: Status{
-			Strategy: s.Name,
-			State:    RunPending,
-		},
 	}
 	e.runs[s.Name] = r
 	// wg.Add under e.mu so Shutdown/Suspend (which set closed under the
@@ -327,7 +323,7 @@ func (e *Engine) EnactSource(s *core.Strategy, source string) (*Run, error) {
 	e.wg.Add(1)
 	e.mu.Unlock()
 
-	e.scheduleRecord(s, source)
+	e.scheduleRecord(r, source)
 	e.mEnacted.Inc()
 	e.mActive.Add(1)
 	go func() {
@@ -338,15 +334,19 @@ func (e *Engine) EnactSource(s *core.Strategy, source string) (*Run, error) {
 	return r, nil
 }
 
-// scheduleRecord publishes the scheduled event and journals the strategy
-// source alongside it (same sequence number, so replay pairs them up).
-func (e *Engine) scheduleRecord(s *core.Strategy, source string) {
+// scheduleRecord publishes r's scheduled event and journals the strategy
+// source alongside it (same sequence number, so replay pairs them up). The
+// event's reduction, a fresh mirror under the strategy's name, becomes r's
+// status.
+func (e *Engine) scheduleRecord(r *Run, source string) {
+	s := r.strategy
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
 	ev := e.bus.stamp(Event{Strategy: s.Name, Type: EventScheduled, Time: e.clk.Now()})
 	f := newFrame(ev)
-	e.mirror.apply(s, ev) // resets any previous enactment under this name
+	e.mirror.apply(s, ev)
 	e.mirror.setSource(s.Name, source)
+	r.mirror = e.mirror.Runs[s.Name]
 	e.journalFrame(f)
 	if source != "" {
 		rec := journal.Record{

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"bifrost/internal/core"
@@ -26,8 +28,8 @@ type runMirror struct {
 	// recovery recompiles it. Empty for strategies enacted programmatically
 	// (those cannot be resumed after a restart).
 	Source string `json:"source,omitempty"`
-	// Status is the run status as reduced from events (not a copy of the
-	// live Run's status).
+	// Status is the run status as reduced from events: what Run.Status
+	// returns, live and after a restart alike.
 	Status Status `json:"status"`
 	// Events is the bounded per-run history, oldest first.
 	Events []Event `json:"events,omitempty"`
@@ -84,7 +86,7 @@ func (m *engineMirror) run(name string) *runMirror {
 }
 
 // setSource records the DSL source of a scheduled strategy. It is applied
-// right after the scheduled event's reduction, which reset the mirror.
+// right after the scheduled event's reduction, which started a fresh mirror.
 func (m *engineMirror) setSource(name, source string) {
 	m.run(name).Source = source
 }
@@ -105,19 +107,23 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 		delete(m.Runs, ev.Strategy)
 		return
 	}
-	rm := m.run(ev.Strategy)
+	var rm *runMirror
+	if ev.Type == EventScheduled {
+		// Every schedule starts a fresh enactment: replace any previous
+		// reduction under this name, finished or not (a run Recover had to
+		// skip leaves a non-terminal mirror behind; its history must not
+		// merge into the replacement). The replacement is a new allocation,
+		// so a Run still holding the old reduction keeps its status. The
+		// source record that follows the scheduled event re-establishes
+		// Source.
+		rm = &runMirror{Status: Status{Strategy: ev.Strategy, State: RunPending, StartedAt: ev.Time}}
+		m.Runs[ev.Strategy] = rm
+	} else {
+		rm = m.run(ev.Strategy)
+	}
 	st := &rm.Status
 
 	switch ev.Type {
-	case EventScheduled:
-		// Every schedule starts a fresh enactment: drop any previous
-		// reduction under this name, finished or not (a run Recover had to
-		// skip leaves a non-terminal mirror behind; its history must not
-		// merge into the replacement). The source record that follows the
-		// scheduled event re-establishes Source.
-		*rm = runMirror{Status: Status{Strategy: ev.Strategy, State: RunPending}}
-		st = &rm.Status
-		st.StartedAt = ev.Time
 	case EventStateEntered:
 		// A recovery re-entry of a paused run stays paused (the restored
 		// pause was re-asserted just before); every other entry runs.
@@ -132,14 +138,33 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 		}
 		skipBook := rm.NoBookState != "" && rm.NoBookState == ev.State
 		rm.NoBookState = ""
-		if !skipBook && strategy != nil && !strategy.Automaton.IsFinal(ev.State) {
-			// Final states are never executed (the live loop finishes on
-			// entry without booking them), so the reduction must not book
-			// them either.
-			if state, ok := strategy.Automaton.State(ev.State); ok {
-				st.PlannedNanos += int64(statePlannedDuration(state))
+		if strategy == nil {
+			// The state's checks are unknown: check_executed events add
+			// them by name.
+			st.Checks = st.Checks[:0]
+			break
+		}
+		state, ok := strategy.Automaton.State(ev.State)
+		if !ok {
+			break
+		}
+		if !skipBook && !strategy.Automaton.IsFinal(ev.State) {
+			// Final states are never executed (the loop finishes on entry),
+			// so they are not booked.
+			st.PlannedNanos += int64(statePlannedDuration(state))
+		}
+		if len(state.Checks) > 0 {
+			// Every entry, re-entries included, starts the state's checks
+			// from zero, as the loop's runners do. A state without checks
+			// keeps the previous state's results visible.
+			st.Checks = st.Checks[:0]
+			for i := range state.Checks {
+				c := &state.Checks[i]
+				st.Checks = append(st.Checks, CheckStatus{Name: c.Name, Kind: c.Kind.String()})
 			}
 		}
+	case EventCheckExecuted:
+		st.checkExecuted(ev)
 	case EventPaused:
 		st.State = RunPaused
 		if ev.PauseGen > 0 {
@@ -168,25 +193,22 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 			st.EnteredAt = ev.Time.Add(-ev.Elapsed)
 		}
 	case EventRoutingConverged, EventRoutingDegraded:
-		// Reduce fleet convergence into Status.Fleet so a recovered run's
-		// status shows the last known fleet state until its own
-		// reconciler reports fresh numbers.
+		// The reconciler publishes every change of a service's convergence,
+		// so this entry is its last report, sorted by service for stable
+		// rendering.
 		fs := FleetStatus{
 			Service: ev.Service, Generation: ev.Generation,
 			Replicas: ev.Replicas, Acked: ev.Acked,
 			Lagging:   append([]string(nil), ev.Lagging...),
 			Converged: ev.Type == EventRoutingConverged,
 		}
-		replaced := false
-		for i := range st.Fleet {
-			if st.Fleet[i].Service == ev.Service {
-				st.Fleet[i] = fs
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			st.Fleet = append(st.Fleet, fs)
+		i, found := slices.BinarySearchFunc(st.Fleet, ev.Service, func(f FleetStatus, service string) int {
+			return cmp.Compare(f.Service, service)
+		})
+		if found {
+			st.Fleet[i] = fs
+		} else {
+			st.Fleet = slices.Insert(st.Fleet, i, fs)
 		}
 	case EventChildScheduled, EventChildUpdate, EventChildTerminal:
 		// Reduce the parent's view of its sub-rollout children so recovery
@@ -217,14 +239,14 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 		})
 	case EventCompleted:
 		st.State = RunCompleted
-		st.FinishedAt = ev.Time
+		rm.finish(ev.Time)
 	case EventAborted:
 		st.State = RunAborted
-		st.FinishedAt = ev.Time
+		rm.finish(ev.Time)
 	case EventError:
 		st.State = RunFailed
-		st.FinishedAt = ev.Time
 		st.Error = ev.Detail
+		rm.finish(ev.Time)
 	}
 
 	rm.Events = append(rm.Events, ev)
@@ -244,25 +266,72 @@ func (m *engineMirror) apply(strategy *core.Strategy, ev Event) {
 	}
 }
 
-// clone deep-copies the mirror so snapshot marshaling can happen outside
-// pubMu: struct copies plus fresh slices (shared Verdict pointers are safe,
-// they are never mutated after publish).
-func (m *engineMirror) clone() *engineMirror {
-	c := &engineMirror{
-		LastTime:   m.LastTime,
-		Generation: m.Generation,
-		Runs:       make(map[string]*runMirror, len(m.Runs)),
+// finish records the run's end at t and its active wall time: what
+// earlier lives accumulated, plus this life from its start (the recovered
+// event, or the scheduled one on the first life). Downtime between lives
+// never counts.
+func (rm *runMirror) finish(t time.Time) {
+	anchor := rm.ResumedAt
+	if anchor.IsZero() {
+		anchor = rm.Status.StartedAt
 	}
-	for name, rm := range m.Runs {
-		cp := *rm
-		cp.Events = append([]Event(nil), rm.Events...)
-		cp.Status.Path = append([]Transition(nil), rm.Status.Path...)
-		cp.Status.Checks = append([]CheckStatus(nil), rm.Status.Checks...)
-		cp.Status.Fleet = append([]FleetStatus(nil), rm.Status.Fleet...)
-		cp.Status.Children = append([]ChildStatus(nil), rm.Status.Children...)
-		c.Runs[name] = &cp
+	rm.Status.FinishedAt = t
+	rm.Status.ActualNanos = int64(rm.PriorActive + t.Sub(anchor))
+}
+
+// checkExecuted folds one execution into its check's entry, adding the
+// entry when the strategy did not declare it (no strategy at hand). It
+// mutates in place: steady-state publishing allocates nothing here.
+func (st *Status) checkExecuted(ev Event) {
+	i := slices.IndexFunc(st.Checks, func(c CheckStatus) bool { return c.Name == ev.Check })
+	if i < 0 {
+		i = len(st.Checks)
+		st.Checks = append(st.Checks, CheckStatus{Name: ev.Check})
 	}
-	return c
+	c := &st.Checks[i]
+	c.Executions++
+	if v := ev.Verdict; v != nil {
+		switch v.Decision {
+		case core.DecisionPass:
+			c.Successes++
+		case core.DecisionFail:
+			c.Failures++
+		default:
+			c.Inconclusive++
+		}
+		if v.Err != "" {
+			c.LastError = v.Err
+		}
+		c.Verdict = v
+		return
+	}
+	if ev.Outcome == 1 {
+		c.Successes++
+	} else {
+		c.Failures++
+	}
+	if ev.Detail != "" {
+		c.LastError = ev.Detail
+	}
+}
+
+// clone deep-copies the status: fresh slices (shared Verdict pointers are
+// safe, they are never mutated after publish).
+func (s Status) clone() Status {
+	s.Path = slices.Clone(s.Path)
+	s.Checks = slices.Clone(s.Checks)
+	s.Fleet = slices.Clone(s.Fleet)
+	s.Children = slices.Clone(s.Children)
+	return s
+}
+
+// clone deep-copies one run's reduction so snapshot marshaling can happen
+// outside pubMu.
+func (rm *runMirror) clone() *runMirror {
+	cp := *rm
+	cp.Events = slices.Clone(rm.Events)
+	cp.Status = rm.Status.clone()
+	return &cp
 }
 
 // cloneRun deep-copies a single run's reduction into a standalone mirror —
@@ -273,16 +342,10 @@ func (m *engineMirror) cloneRun(name string) *engineMirror {
 	if !ok {
 		return nil
 	}
-	cp := *rm
-	cp.Events = append([]Event(nil), rm.Events...)
-	cp.Status.Path = append([]Transition(nil), rm.Status.Path...)
-	cp.Status.Checks = append([]CheckStatus(nil), rm.Status.Checks...)
-	cp.Status.Fleet = append([]FleetStatus(nil), rm.Status.Fleet...)
-	cp.Status.Children = append([]ChildStatus(nil), rm.Status.Children...)
 	return &engineMirror{
 		LastTime:   m.LastTime,
 		Generation: m.Generation,
-		Runs:       map[string]*runMirror{name: &cp},
+		Runs:       map[string]*runMirror{name: rm.clone()},
 	}
 }
 

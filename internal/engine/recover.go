@@ -44,23 +44,13 @@ type recovered struct {
 	// current is the automaton state to re-enter ("" restarts from the
 	// automaton's start state: the run was scheduled but never entered one).
 	current string
-	// routing is the set of routing configurations in force at the crash
-	// (latest per service along the executed path). The re-entry applies
-	// the ones the re-entered state does not itself declare — routing
-	// persists across routeless states, and proxies may have restarted
-	// during the downtime.
-	routing []core.RoutingConfig
 	// elapsed is how long the run had already spent in current before the
 	// crash (downtime excluded); the state timer resumes from here instead
 	// of restarting the phase.
 	elapsed time.Duration
-	// paused restores a paused run into its paused wait, with pauseGen as
-	// the generation conditional resumes must match.
-	paused   bool
-	pauseGen int
-	// priorActual is the wall time the run had accumulated before the
-	// crash, for delay accounting across the restart.
-	priorActual time.Duration
+	// paused restores a paused run into its paused wait, at the run's
+	// restored pause generation.
+	paused bool
 }
 
 // Recover replays every journal partition and resumes every unfinished run:
@@ -105,6 +95,13 @@ func (e *Engine) Recover(compile CompileFunc) (*RecoveryReport, error) {
 		ring = append(ring, part.events...)
 		parts = append(parts, part)
 	}
+	// Rebuild the global replay ring in sequence order, before any resumed
+	// run publishes past it: the partitions were replayed one after
+	// another, but their events interleave globally.
+	sort.Slice(ring, func(a, b int) bool { return ring[a].Seq < ring[b].Seq })
+	for _, ev := range ring {
+		e.bus.restore(ev)
+	}
 	// Resume hierarchical parents only after every other partition: a
 	// parent's loop re-schedules its sub-rollout children on resume, and
 	// that must find the children already registered from their own
@@ -126,12 +123,6 @@ func (e *Engine) Recover(compile CompileFunc) (*RecoveryReport, error) {
 		default:
 			report.Finished++
 		}
-	}
-	// Rebuild the global replay ring in sequence order: the partitions were
-	// replayed one after another, but their events interleave globally.
-	sort.Slice(ring, func(a, b int) bool { return ring[a].Seq < ring[b].Seq })
-	for _, ev := range ring {
-		e.bus.restore(ev)
 	}
 	return report, nil
 }
@@ -172,8 +163,11 @@ func (e *Engine) RecoverRun(name string, compile CompileFunc, token int64) (*Run
 
 // partitionReplay is one partition's replayed state, ready to resume.
 type partitionReplay struct {
-	name     string
-	rm       runMirror
+	name string
+	// rm is the replayed reduction, installed in the engine mirror: the
+	// resumed run's status. Only that run's events change it, so it is
+	// read here without pubMu until the run is registered.
+	rm       *runMirror
 	strategy *core.Strategy
 	lastTime time.Time
 	events   []Event // post-snapshot events, for global ring restore
@@ -290,7 +284,7 @@ func (e *Engine) replayPartition(name string, compile CompileFunc, token int64) 
 	}
 	return &partitionReplay{
 		name:     name,
-		rm:       *rm,
+		rm:       rm,
 		strategy: strategy,
 		lastTime: part.LastTime,
 		events:   events,
@@ -302,11 +296,10 @@ func (e *Engine) replayPartition(name string, compile CompileFunc, token int64) 
 // downtime excluded (lastTime — the partition's newest record or heartbeat
 // — is the best available crash-time estimate).
 func (e *Engine) resumePartition(part *partitionReplay) (*RunRecovery, error) {
-	st := part.rm.Status
-	st.Path = append([]Transition(nil), st.Path...)
+	st := &part.rm.Status
 	if st.State.terminal() {
-		r := newFinishedRun(e, part.strategy, st)
-		if !e.registerRun(r) {
+		r := newFinishedRun(e, part.strategy, part.rm)
+		if !e.registerRun(part.name, r) {
 			return nil, ErrEngineClosed
 		}
 		return &RunRecovery{Run: r}, nil
@@ -318,47 +311,63 @@ func (e *Engine) resumePartition(part *partitionReplay) (*RunRecovery, error) {
 		}
 		return &RunRecovery{SkipReason: reason}, nil
 	}
-	var elapsed, prior time.Duration
+	var elapsed time.Duration
 	if !st.EnteredAt.IsZero() && part.lastTime.After(st.EnteredAt) {
 		elapsed = part.lastTime.Sub(st.EnteredAt)
 	}
 	// Active wall time accumulates per life: everything before the
 	// last recovery is in PriorActive, plus this life's span up to the
 	// newest record — inter-restart downtime never counts.
-	anchor, base := st.StartedAt, time.Duration(0)
+	anchor, prior := st.StartedAt, time.Duration(0)
 	if !part.rm.ResumedAt.IsZero() {
-		anchor, base = part.rm.ResumedAt, part.rm.PriorActive
+		anchor, prior = part.rm.ResumedAt, part.rm.PriorActive
 	}
-	prior = base
 	if !anchor.IsZero() && part.lastTime.After(anchor) {
 		prior += part.lastTime.Sub(anchor)
 	}
-	st.Recovered = true
-	if !st.EnteredAt.IsZero() {
-		// The run is visible from registerRun on, before its loop re-enters
-		// the state: rebase EnteredAt now so no status read in between
-		// counts the downtime as time in the phase.
-		st.EnteredAt = e.clk.Now().Add(-elapsed)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Run{
-		engine:   e,
-		strategy: part.strategy,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		evicted:  make(chan struct{}),
-		controls: make(chan controlMsg),
-		status:   st,
+		engine:           e,
+		strategy:         part.strategy,
+		cancel:           cancel,
+		done:             make(chan struct{}),
+		evicted:          make(chan struct{}),
+		controls:         make(chan controlMsg),
+		mirror:           part.rm,
+		pauseGen:         st.PauseGen,
+		recoveredRouting: effectiveRouting(part.strategy, st.Path, st.Current),
 		recov: &recovered{
-			current:     st.Current,
-			routing:     effectiveRouting(part.strategy, st.Path, st.Current),
-			elapsed:     elapsed,
-			paused:      st.State == RunPaused,
-			pauseGen:    st.PauseGen,
-			priorActual: prior,
+			current: st.Current,
+			elapsed: elapsed,
+			paused:  st.State == RunPaused,
 		},
 	}
-	if !e.registerRun(r) {
+	// The recovery is published before the run is registered, so its
+	// status shows it from the first read on: recovered, with EnteredAt
+	// rebased so the downtime never counts as time in the phase.
+	current := st.Current
+	if current == "" {
+		current = part.strategy.Automaton.Start
+	}
+	r.publish(Event{
+		Type: EventRecovered, State: current, Elapsed: elapsed, Active: prior,
+		Detail: fmt.Sprintf("resumed after restart (%s elapsed in state)",
+			elapsed.Round(time.Millisecond)),
+		Time: e.clk.Now(),
+	})
+	if r.recov.paused {
+		// Re-assert the pause before re-entering the state: if the engine
+		// dies again mid-re-entry (Apply calls proxies that may be down
+		// right after an outage), the journal's last word must still be
+		// "paused" — an operator's hold is never silently released by a
+		// crash loop.
+		r.publish(Event{
+			Type: EventPaused, State: current, PauseGen: r.pauseGen,
+			Detail: fmt.Sprintf("pause generation %d (restored after restart)", r.pauseGen),
+			Time:   e.clk.Now(),
+		})
+	}
+	if !e.registerRun(part.name, r) {
 		cancel()
 		return nil, ErrEngineClosed
 	}
@@ -424,23 +433,23 @@ func effectiveRouting(s *core.Strategy, path []Transition, current string) []cor
 // registerRun inserts a run into the registry; for live runs the waitgroup
 // slot is taken under e.mu so Shutdown cannot miss it. Reports false once
 // the engine closed.
-func (e *Engine) registerRun(r *Run) bool {
+func (e *Engine) registerRun(name string, r *Run) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return false
 	}
-	e.runs[r.status.Strategy] = r
+	e.runs[name] = r
 	if !r.Done() {
 		e.wg.Add(1)
 	}
 	return true
 }
 
-// newFinishedRun materializes a terminal run from its journaled status so a
-// restarted engine still lists it and serves its history. It has no loop;
+// newFinishedRun materializes a terminal run from its journal reduction so
+// a restarted engine still lists it and serves its history. It has no loop;
 // every control is rejected with ErrFinished.
-func newFinishedRun(e *Engine, s *core.Strategy, st Status) *Run {
+func newFinishedRun(e *Engine, s *core.Strategy, rm *runMirror) *Run {
 	done := make(chan struct{})
 	close(done)
 	return &Run{
@@ -450,6 +459,6 @@ func newFinishedRun(e *Engine, s *core.Strategy, st Status) *Run {
 		done:     done,
 		evicted:  make(chan struct{}),
 		controls: make(chan controlMsg),
-		status:   st,
+		mirror:   rm,
 	}
 }

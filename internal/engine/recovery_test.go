@@ -787,12 +787,52 @@ func TestShutdownEnactRaceStress(t *testing.T) {
 	}
 }
 
+// TestRecoveredFinishedRunKeepsDelay: a run that finished before a
+// restart reports the same active time and enactment delay after it, as
+// the terminal event's reduction, not a live field the journal lacks.
+func TestRecoveredFinishedRunKeepsDelay(t *testing.T) {
+	strategy, err := dsl.Compile(holdStrategy)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	dir := t.TempDir()
+	clk := clock.NewManual(time.Date(2026, 7, 30, 9, 0, 0, 0, time.UTC))
+
+	eng1 := New(WithClock(clk), WithJournalSet(openTestJournal(t, dir)))
+	r1, err := eng1.EnactSource(strategy, holdStrategy)
+	if err != nil {
+		t.Fatalf("EnactSource: %v", err)
+	}
+	eventually(t, "canary routing applied", func() bool {
+		evs := eng1.RunEvents("hold-run", 0)
+		return len(evs) > 0 && evs[len(evs)-1].Type == EventRoutingApplied
+	})
+	advance(clk, 31*time.Minute) // the 30m canary ends a minute late
+	st1 := waitDone(t, r1)
+	if st1.State != RunCompleted || st1.Delay() != time.Minute {
+		t.Fatalf("first engine: %s with delay %v, want completed with 1m", st1.State, st1.Delay())
+	}
+	eng1.Suspend()
+
+	eng2 := New(WithClock(clk), WithJournalSet(openTestJournal(t, dir)))
+	defer eng2.Shutdown()
+	report, err := eng2.Recover(dsl.Compile)
+	if err != nil || report.Finished != 1 {
+		t.Fatalf("Recover = %+v, %v; want one finished run", report, err)
+	}
+	r2, _ := eng2.Run("hold-run")
+	st2 := r2.Status()
+	if st2.ActualNanos != st1.ActualNanos || st2.Delay() != st1.Delay() {
+		t.Fatalf("recovered: actual %v, delay %v; want %v, %v as before the restart",
+			time.Duration(st2.ActualNanos), st2.Delay(), time.Duration(st1.ActualNanos), st1.Delay())
+	}
+}
+
 // TestRecoveredStatusExcludesDowntimeFromTheStart: a recovered run is
-// visible from the moment it is registered, before its loop publishes
-// anything. Its status must already show the preserved elapsed time, not
-// the crash-time EnteredAt that would count the downtime as time in the
-// phase. Holding the publish pipeline keeps the loop from its first event
-// while the status is read.
+// visible from the moment it is registered, before its loop re-enters the
+// state. Its status must already show the preserved elapsed time, not the
+// crash-time EnteredAt that would count the downtime as time in the phase:
+// the recovered event is published before the run is registered.
 func TestRecoveredStatusExcludesDowntimeFromTheStart(t *testing.T) {
 	strategy, err := dsl.Compile(holdStrategy)
 	if err != nil {
@@ -823,19 +863,16 @@ func TestRecoveredStatusExcludesDowntimeFromTheStart(t *testing.T) {
 	if err != nil || part == nil {
 		t.Fatalf("replay: %v (partition %v)", err, part)
 	}
-	eng2.pubMu.Lock()
 	rr, err := eng2.resumePartition(part)
 	if err != nil || !rr.Resumed {
-		eng2.pubMu.Unlock()
 		t.Fatalf("resume: %v (%+v)", err, rr)
 	}
 	st := rr.Run.Status()
-	eng2.pubMu.Unlock()
 	if !st.Recovered {
-		t.Fatalf("status before the loop's first event = %+v, want recovered", st)
+		t.Fatalf("status as the run is registered = %+v, want recovered", st)
 	}
 	if elapsed := clk.Now().Sub(st.EnteredAt); elapsed != 10*time.Minute {
-		t.Fatalf("elapsed in canary before the loop's first event = %v, want 10m (downtime excluded)", elapsed)
+		t.Fatalf("elapsed in canary as the run is registered = %v, want 10m (downtime excluded)", elapsed)
 	}
 	waitReentries(t, eng2, "hold-run", 2)
 	if elapsed := clk.Now().Sub(rr.Run.Status().EnteredAt); elapsed != 10*time.Minute {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -45,10 +44,6 @@ type Run struct {
 	// recov is set on runs rebuilt from the journal: the loop re-enters
 	// the recorded state with its elapsed time instead of starting over.
 	recov *recovered
-	// resumeBackdate, consumed by the next enterState, backdates
-	// Status.EnteredAt by the recovered elapsed time so the preserved
-	// progress is visible atomically with the re-entry. Loop-local.
-	resumeBackdate time.Duration
 	// recoveredRouting, consumed by the next enterState, holds the
 	// routing configurations in force at the crash: the re-entry applies
 	// the ones its state does not itself declare, so routing that
@@ -58,9 +53,15 @@ type Run struct {
 	// targets resolves each service's enactment target; set once when
 	// the loop starts, before the reconciler that reads it.
 	targets *runTargets
+	// pauseGen is the current pause generation, which a conditional resume
+	// must match. Loop-local.
+	pauseGen int
 
-	mu     sync.Mutex
-	status Status
+	// mirror is the run's journal reduction, created by its own scheduled
+	// event or by its replay, and guarded by the engine's pubMu. It is the
+	// run's status: a re-enactment under the same name reduces into a new
+	// one.
+	mirror *runMirror
 }
 
 // controlKind enumerates operator commands on a run.
@@ -123,7 +124,8 @@ type stepResult struct {
 	reenter bool
 }
 
-// Status is a snapshot of a run's progress.
+// Status is a snapshot of a run's progress: the reduction of the events
+// the run published, the same live and after a restart.
 type Status struct {
 	Strategy string   `json:"strategy"`
 	State    RunState `json:"state"`
@@ -131,21 +133,24 @@ type Status struct {
 	Current string `json:"current,omitempty"`
 	// EnteredAt is when Current was entered.
 	EnteredAt time.Time `json:"enteredAt,omitempty"`
-	// StartedAt / FinishedAt bracket the whole enactment.
+	// StartedAt / FinishedAt bracket the whole enactment: the times of its
+	// scheduled event and of its terminal one.
 	StartedAt  time.Time `json:"startedAt,omitempty"`
 	FinishedAt time.Time `json:"finishedAt,omitempty"`
 	// PlannedNanos accumulates the specified duration of every state the
-	// run entered; ActualNanos is wall time. Their difference is the
-	// enactment delay studied in Figures 8 and 10 of the paper.
+	// run entered; ActualNanos is active wall time, set when the run
+	// finishes (downtime between engine lives excluded). Their difference
+	// is the enactment delay studied in Figures 8 and 10 of the paper.
 	PlannedNanos int64 `json:"plannedNanos"`
 	ActualNanos  int64 `json:"actualNanos"`
 	// Path records every transition taken.
 	Path []Transition `json:"path"`
-	// Checks reports progress of the current state's checks.
+	// Checks is the live progress of the latest state with checks: one
+	// entry per declared check, zeroed on each entry into the state
+	// (re-entries included) and advanced by every execution.
 	Checks []CheckStatus `json:"checks,omitempty"`
-	// Fleet reports per-service convergence at the current routing
-	// generation (targets that settle only), maintained by the run's
-	// background reconciler.
+	// Fleet reports per-service convergence as last published by the run's
+	// background reconciler (targets that settle only).
 	Fleet []FleetStatus `json:"fleet,omitempty"`
 	// Children mirrors the sub-rollout children of a hierarchical run,
 	// reduced from the child-linkage events in the parent's own partition —
@@ -215,16 +220,15 @@ type CheckStatus struct {
 // Strategy returns the strategy this run enacts.
 func (r *Run) Strategy() *core.Strategy { return r.strategy }
 
-// Status snapshots the run.
+// Status snapshots the run: a copy of its journal reduction.
 func (r *Run) Status() Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.status
-	st.Path = append([]Transition(nil), r.status.Path...)
-	st.Checks = append([]CheckStatus(nil), r.status.Checks...)
-	st.Fleet = append([]FleetStatus(nil), r.status.Fleet...)
-	st.Children = append([]ChildStatus(nil), r.status.Children...)
-	return st
+	r.engine.pubMu.Lock()
+	defer r.engine.pubMu.Unlock()
+	if r.mirror == nil {
+		// Registered, but its scheduled event is not published yet.
+		return Status{Strategy: r.strategy.Name, State: RunPending}
+	}
+	return r.mirror.Status.clone()
 }
 
 // Done reports whether the run has finished.
@@ -298,15 +302,6 @@ func (r *Run) control(msg controlMsg) ctrlReply {
 	}
 }
 
-func (r *Run) setRunState(s RunState, errMsg string) {
-	r.mu.Lock()
-	r.status.State = s
-	if errMsg != "" {
-		r.status.Error = errMsg
-	}
-	r.mu.Unlock()
-}
-
 // publish stamps the run's strategy name onto ev and sends it through the
 // engine's publish pipeline (sequencing, subscribers, durable history,
 // journal).
@@ -322,23 +317,7 @@ func (r *Run) publish(ev Event) {
 func (r *Run) loop(ctx context.Context) {
 	defer close(r.done)
 	clk := r.engine.clk
-	start := clk.Now()
 	rc := r.recov
-	var priorActual time.Duration
-	if rc != nil {
-		priorActual = rc.priorActual
-	}
-
-	r.mu.Lock()
-	if rc == nil {
-		r.status.State = RunRunning
-		r.status.StartedAt = start
-	} else if !rc.paused {
-		// Recovered runs keep their original StartedAt (and, when paused,
-		// their paused state and generation).
-		r.status.State = RunRunning
-	}
-	r.mu.Unlock()
 
 	// Defer order matters: retire runs before close(r.done) (LIFO vs the
 	// deferred close at the top of loop), and Enact/Remove gate on that
@@ -379,17 +358,6 @@ func (r *Run) loop(ctx context.Context) {
 			r.finalFleetCheck()
 		}
 		now := clk.Now()
-		r.mu.Lock()
-		r.status.State = state
-		r.status.FinishedAt = now
-		r.status.ActualNanos = int64(priorActual + now.Sub(start))
-		if errMsg != "" {
-			r.status.Error = errMsg
-		}
-		r.mu.Unlock()
-		r.engine.registry.Gauge("engine_enactment_delay_seconds",
-			metrics.Labels{"strategy": r.strategy.Name}).
-			Set(r.Status().Delay().Seconds())
 		switch state {
 		case RunCompleted:
 			r.publish(Event{Type: EventCompleted, Time: now})
@@ -398,6 +366,9 @@ func (r *Run) loop(ctx context.Context) {
 		case RunFailed:
 			r.publish(Event{Type: EventError, Detail: errMsg, Time: now})
 		}
+		r.engine.registry.Gauge("engine_enactment_delay_seconds",
+			metrics.Labels{"strategy": r.strategy.Name}).
+			Set(r.Status().Delay().Seconds())
 	}
 
 	current := r.strategy.Automaton.Start
@@ -405,10 +376,6 @@ func (r *Run) loop(ctx context.Context) {
 	if resuming && rc.current != "" {
 		current = rc.current
 	}
-	// reentered marks a re-entry of the current state after a pause/resume
-	// cycle: the state's specified duration was already booked for delay
-	// accounting, so executeState must not book it again.
-	reentered := false
 	for {
 		select {
 		case <-ctx.Done():
@@ -425,32 +392,6 @@ func (r *Run) loop(ctx context.Context) {
 		if !ok {
 			finish(RunFailed, "unknown state "+current)
 			return
-		}
-
-		if resuming {
-			r.publish(Event{
-				Type: EventRecovered, State: current,
-				Elapsed: rc.elapsed, Active: rc.priorActual,
-				Detail: fmt.Sprintf("resumed after restart (%s elapsed in state)",
-					rc.elapsed.Round(time.Millisecond)),
-				Time: clk.Now(),
-			})
-			// The re-entry keeps the preserved elapsed time visible: the
-			// state was entered before the restart, not just now.
-			r.resumeBackdate = rc.elapsed
-			r.recoveredRouting = rc.routing
-			if rc.paused {
-				// Re-assert the pause before re-entering the state: if the
-				// engine dies again mid-re-entry (Apply calls proxies
-				// that may be down right after an outage), the journal's
-				// last word must still be "paused" — an operator's hold is
-				// never silently released by a crash loop.
-				r.publish(Event{
-					Type: EventPaused, State: current, PauseGen: rc.pauseGen,
-					Detail: fmt.Sprintf("pause generation %d (restored after restart)", rc.pauseGen),
-					Time:   clk.Now(),
-				})
-			}
 		}
 
 		if err := r.enterState(ctx, state); err != nil {
@@ -477,18 +418,16 @@ func (r *Run) loop(ctx context.Context) {
 		} else if resuming && rc.paused {
 			// The run was paused when the engine went down: hold position
 			// again (routing above was re-asserted), same pause generation.
-			r.setRunState(RunPaused, "")
-			res, err = r.pausedWait(ctx, state, rc.pauseGen)
+			res, err = r.pausedWait(ctx, state, r.pauseGen)
 		} else {
+			// A true re-entry (the state was entered before the crash) keeps
+			// its elapsed time; a run recovered before entering any state
+			// starts its first state fresh.
 			var elapsed time.Duration
-			// A true re-entry (the state was entered before the crash) was
-			// already booked and keeps its elapsed time; a run recovered
-			// before entering any state starts its first state fresh.
-			reentry := resuming && rc.current != ""
-			if reentry {
+			if resuming && rc.current != "" {
 				elapsed = rc.elapsed
 			}
-			res, err = r.executeState(ctx, state, !reentered && !reentry, elapsed)
+			res, err = r.executeState(ctx, state, elapsed)
 		}
 		resuming = false
 		if err != nil {
@@ -505,47 +444,24 @@ func (r *Run) loop(ctx context.Context) {
 		if res.reenter {
 			// Resumed from a pause: re-enter the same state so routing is
 			// re-applied and every check timer restarts from zero.
-			reentered = true
 			continue
 		}
-		reentered = false
 
-		now := clk.Now()
-		r.mu.Lock()
-		r.status.Path = append(r.status.Path, Transition{
-			From: state.ID, To: res.next, Outcome: res.outcome, At: now, Cause: res.cause,
-		})
-		r.mu.Unlock()
 		r.engine.mTransitions.Inc()
 		r.publish(Event{
 			Type: EventTransition, State: state.ID,
-			Detail: res.next, Outcome: res.outcome, Cause: res.cause, Time: now,
+			Detail: res.next, Outcome: res.outcome, Cause: res.cause, Time: clk.Now(),
 		})
 		current = res.next
 	}
 }
 
-// enterState applies the state's routing configurations and records entry.
+// enterState records entry and applies the state's routing configurations.
 func (r *Run) enterState(ctx context.Context, state *core.State) error {
 	clk := r.engine.clk
-	now := clk.Now()
-	entered := now
-	if d := r.resumeBackdate; d > 0 {
-		entered = now.Add(-d)
-		r.resumeBackdate = 0
-	}
-	r.mu.Lock()
-	r.status.Current = state.ID
-	r.status.EnteredAt = entered
-	if len(state.Checks) > 0 {
-		// Keep the previous state's check results visible while passing
-		// through checkless states (e.g. final rollout/rollback states).
-		r.status.Checks = nil
-	}
-	r.mu.Unlock()
 	r.publish(Event{
 		Type: EventStateEntered, State: state.ID,
-		Detail: state.Description, Time: now,
+		Detail: state.Description, Time: clk.Now(),
 	})
 
 	// A recovery re-entry also restores routing that persisted from
@@ -586,23 +502,11 @@ func (r *Run) enterState(ctx context.Context, state *core.State) error {
 // returns the successor chosen by δ together with the aggregated outcome.
 // While the state executes, the run loop also consumes operator controls:
 // pause suspends it, and manual promote/rollback decisions override δ.
-// book is false on a pause/resume re-entry, whose specified duration was
-// already accounted for. elapsed is the time already spent in this state
-// before an engine restart: the state timer runs only for the remainder,
-// and the checks schedule the executions that fit in it.
-func (r *Run) executeState(ctx context.Context, state *core.State, book bool,
-	elapsed time.Duration) (stepResult, error) {
-
+// elapsed is the time already spent in this state before an engine
+// restart: the state timer runs only for the remainder, and the checks
+// schedule the executions that fit in it.
+func (r *Run) executeState(ctx context.Context, state *core.State, elapsed time.Duration) (stepResult, error) {
 	clk := r.engine.clk
-
-	// Book the state's specified duration for delay accounting.
-	if book {
-		planned := statePlannedDuration(state)
-		r.mu.Lock()
-		r.status.PlannedNanos += int64(planned)
-		r.mu.Unlock()
-	}
-
 	stateCtx, cancelState := context.WithCancel(ctx)
 	defer cancelState()
 
@@ -747,9 +651,6 @@ func (r *Run) executeState(ctx context.Context, state *core.State, book bool,
 	// them could announce a rollback that never happens.
 	earlyConcluded := intr != nil
 	results := make([]int, len(state.Checks))
-	r.mu.Lock()
-	r.status.Checks = r.status.Checks[:0]
-	r.mu.Unlock()
 	for i, cr := range runners {
 		kind := state.Checks[i].Kind
 		if state.Checks[i].Interval <= 0 ||
@@ -761,9 +662,6 @@ func (r *Run) executeState(ctx context.Context, state *core.State, book bool,
 			return stepResult{}, err
 		}
 		results[i] = mapped
-		r.mu.Lock()
-		r.status.Checks = append(r.status.Checks, cr.snapshot())
-		r.mu.Unlock()
 	}
 
 	outcome, err := state.Outcome(results)
@@ -839,27 +737,18 @@ func (r *Run) manualTarget(state *core.State, msg controlMsg) (string, error) {
 }
 
 func (r *Run) beginPause(state *core.State) int {
-	now := r.engine.clk.Now()
-	r.mu.Lock()
-	r.status.State = RunPaused
-	r.status.PauseGen++
-	gen := r.status.PauseGen
-	r.mu.Unlock()
+	r.pauseGen++
 	r.publish(Event{
-		Type: EventPaused, State: state.ID, PauseGen: gen,
-		Detail: fmt.Sprintf("pause generation %d", gen), Time: now,
+		Type: EventPaused, State: state.ID, PauseGen: r.pauseGen,
+		Detail: fmt.Sprintf("pause generation %d", r.pauseGen), Time: r.engine.clk.Now(),
 	})
-	return gen
+	return r.pauseGen
 }
 
 func (r *Run) endPause(state *core.State, detail string) {
-	now := r.engine.clk.Now()
-	r.mu.Lock()
-	r.status.State = RunRunning
-	r.mu.Unlock()
 	r.publish(Event{
 		Type: EventResumed, State: state.ID,
-		Detail: detail, Time: now,
+		Detail: detail, Time: r.engine.clk.Now(),
 	})
 }
 
@@ -872,36 +761,20 @@ func (r *Run) publishGateDecision(state *core.State, kind controlKind, target st
 
 // reconcileLoop is the run's anti-entropy loop: every reconcile interval
 // it polls the run's targets for convergence (the proxy fleet re-pushes
-// the current generation to lagging or restarted replicas),
-// refreshes Status.Fleet, and publishes routing_degraded /
-// routing_converged events on convergence transitions — through the same
-// pipeline as every other event, so they reach the journal, the v2 run
-// resource, SSE watchers, and the CLI.
+// the current generation to lagging or restarted replicas) and publishes a
+// routing_converged or routing_degraded event for every service whose
+// convergence changed — through the same pipeline as every other event, so
+// they reach the journal, Status.Fleet, SSE watchers, and the CLI.
 func (r *Run) reconcileLoop(ctx context.Context) {
-	clk := r.engine.clk
-	t := clk.NewTicker(r.targets.reconcileInterval())
+	t := r.engine.clk.NewTicker(r.targets.reconcileInterval())
 	defer t.Stop()
-	type convState struct {
-		gen       int64
-		converged bool
-		// lagging fingerprints the lagging replica set: the same
-		// generation staying degraded but with a *different* replica down
-		// must re-publish, or the journal keeps naming the wrong replica.
-		lagging string
+	// Seed from the run's reduced fleet status: a recovered run whose
+	// journal ends on routing_degraded must emit routing_converged when the
+	// first post-restart pass finds the fleet healed.
+	last := make(map[string]convergence, 2)
+	for _, f := range r.Status().Fleet {
+		last[f.Service] = convergenceOf(f)
 	}
-	// Seed the transition detector from the run's current fleet status: a
-	// recovered run whose journal ends on routing_degraded must emit
-	// routing_converged when the first post-restart pass finds the fleet
-	// healed, not stay silently unresolved on every watcher.
-	last := make(map[string]convState, 2)
-	r.mu.Lock()
-	for _, f := range r.status.Fleet {
-		last[f.Service] = convState{
-			gen: f.Generation, converged: f.Converged,
-			lagging: strings.Join(f.Lagging, ","),
-		}
-	}
-	r.mu.Unlock()
 	for {
 		select {
 		case <-ctx.Done():
@@ -919,43 +792,38 @@ func (r *Run) reconcileLoop(ctx context.Context) {
 			// not publish a parting routing_degraded.
 			return
 		}
-		if len(reports) == 0 {
-			continue // nothing configured yet (or everything superseded)
-		}
-		r.mu.Lock()
-		r.status.Fleet = mergeFleet(r.status.Fleet, reports)
-		state := r.status.Current
-		r.mu.Unlock()
-		now := clk.Now()
 		for _, rep := range reports {
-			fp := strings.Join(rep.Lagging, ",")
-			prev, known := last[rep.Service]
-			var publish bool
-			switch {
-			case !rep.Converged && (!known || prev.converged ||
-				prev.gen != rep.Generation || prev.lagging != fp):
-				// Newly degraded, a new generation that arrived partial,
-				// or the same degradation moving to different replicas.
-				publish = true
-			case rep.Converged && known && !prev.converged:
-				publish = true
+			c := convergenceOf(rep)
+			if last[rep.Service] == c {
+				continue
 			}
-			if publish {
-				// The pass filtered reports against the desired generation,
-				// but a state transition can land between that filter and
-				// here; the target's gate re-checks under its lock so a
-				// superseded report is dropped instead of published. The
-				// skipped `last` update leaves the next pass to evaluate
-				// the current generation from scratch.
-				if !r.targets.withCurrent(rep.Service, rep.Generation, func() {
-					r.publishFleetEvent(rep, state, "", now)
-				}) {
-					continue
-				}
+			// The pass filtered reports against the desired generation,
+			// but a state transition can land between that filter and
+			// here; the target's gate re-checks under its lock so a
+			// superseded report is dropped instead of published. The
+			// skipped `last` update leaves the next pass to evaluate the
+			// current generation from scratch.
+			if r.targets.withCurrent(rep.Service, rep.Generation, func() {
+				r.publishFleetEvent(rep, "")
+			}) {
+				last[rep.Service] = c
 			}
-			last[rep.Service] = convState{gen: rep.Generation, converged: rep.Converged, lagging: fp}
 		}
 	}
+}
+
+// convergence is what a fleet event reports of a service: a change in any
+// field is published. lagging fingerprints the lagging replica set, so the
+// same generation staying degraded with a different replica down is
+// published too, or the journal keeps naming the wrong replica.
+type convergence struct {
+	gen       int64
+	converged bool
+	lagging   string
+}
+
+func convergenceOf(f FleetStatus) convergence {
+	return convergence{gen: f.Generation, converged: f.Converged, lagging: strings.Join(f.Lagging, ",")}
 }
 
 // finalFleetCheck runs one last anti-entropy pass as the run ends, while
@@ -978,66 +846,40 @@ func (r *Run) finalFleetCheck() {
 		// journal a false parting routing_degraded over healthy ones.
 		return
 	}
-	r.mu.Lock()
-	wasDegraded := make(map[string]bool, len(r.status.Fleet))
-	for _, f := range r.status.Fleet {
-		wasDegraded[f.Service] = !f.Converged
+	last := make(map[string]convergence, len(reports))
+	for _, f := range r.Status().Fleet {
+		last[f.Service] = convergenceOf(f)
 	}
-	r.status.Fleet = mergeFleet(r.status.Fleet, reports)
-	state := r.status.Current
-	r.mu.Unlock()
-	now := r.engine.clk.Now()
 	for _, rep := range reports {
+		// A fleet this pass healed or moved to the final generation is
+		// published, so the finished run's status (and a restarted
+		// engine's) shows what the replicas hold; one still degraded is
+		// published as such. The supersede guard is reconcileLoop's: the
+		// run loop is done, but a concurrent Remove + re-enact of the
+		// strategy name could have replaced the desired state this report
+		// describes.
+		suffix := " as the run ends"
 		if rep.Converged {
-			// A fleet this pass healed must resolve its earlier degradation
-			// on the stream — otherwise the journal's last fleet word stays
-			// routing_degraded and a restarted engine reports the finished
-			// run as degraded over replicas that were repaired.
-			if wasDegraded[rep.Service] {
-				r.targets.withCurrent(rep.Service, rep.Generation, func() {
-					r.publishFleetEvent(rep, state, "", now)
-				})
+			if last[rep.Service] == convergenceOf(rep) {
+				continue
 			}
-			continue
+			suffix = ""
 		}
-		// Same supersede guard as reconcileLoop: the run loop is done, but
-		// a concurrent Remove + re-enact of the strategy name could have
-		// replaced the desired state this report describes.
 		r.targets.withCurrent(rep.Service, rep.Generation, func() {
-			r.publishFleetEvent(rep, state, " as the run ends", now)
+			r.publishFleetEvent(rep, suffix)
 		})
 	}
-}
-
-// mergeFleet folds a reconcile pass's reports into the standing fleet
-// status: reported services are replaced, unreported ones (e.g. a fleet
-// whose fan-out is still settling and was skipped this pass) keep their
-// previous entry instead of vanishing from status. Result sorted by
-// service for stable rendering.
-func mergeFleet(old, reports []FleetStatus) []FleetStatus {
-	merged := append([]FleetStatus(nil), reports...)
-	seen := make(map[string]bool, len(reports))
-	for _, rep := range reports {
-		seen[rep.Service] = true
-	}
-	for _, f := range old {
-		if !seen[f.Service] {
-			merged = append(merged, f)
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Service < merged[j].Service })
-	return merged
 }
 
 // publishFleetEvent emits one fleet convergence event for rep:
 // routing_converged when the fleet is whole, routing_degraded (with the
 // lagging replicas) otherwise. detailSuffix qualifies the degraded text
 // (e.g. " as the run ends").
-func (r *Run) publishFleetEvent(rep FleetStatus, state, detailSuffix string, now time.Time) {
+func (r *Run) publishFleetEvent(rep FleetStatus, detailSuffix string) {
 	ev := Event{
-		State: state, Service: rep.Service,
+		State: r.Status().Current, Service: rep.Service,
 		Generation: rep.Generation, Replicas: rep.Replicas, Acked: rep.Acked,
-		Time: now,
+		Time: r.engine.clk.Now(),
 	}
 	if rep.Converged {
 		ev.Type = EventRoutingConverged

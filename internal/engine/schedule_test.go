@@ -252,3 +252,69 @@ func TestScheduleEarlyConclusionDiscardsCancelledQuery(t *testing.T) {
 		t.Fatalf("check_executed events for the basic check: %d, %d passed; want 1 of 1", total, passed)
 	}
 }
+
+// TestStatusChecksShowProgressMidPhase: while a state runs, Status.Checks
+// reports every execution already recorded, not only once the state ends;
+// and a pause/resume re-entry restarts the counts from zero, as it
+// restarts the check's runner.
+func TestStatusChecksShowProgressMidPhase(t *testing.T) {
+	const interval, n, released = 100 * time.Millisecond, 4, 2
+	for _, tc := range []struct {
+		name        string
+		pauseResume bool
+		want        int
+	}{
+		{name: "mid-phase", want: released},
+		{name: "after a pause/resume re-entry", pauseResume: true, want: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual(time.Date(2026, 10, 1, 9, 0, 0, 0, time.UTC))
+			eng := New(WithClock(clk))
+			defer eng.Shutdown()
+			ev := newGatedEvaluator(clk)
+			run, err := eng.Enact(timedCanary(ev, n*interval, interval, n))
+			if err != nil {
+				t.Fatalf("Enact: %v", err)
+			}
+			for k := 0; k < released; k++ {
+				close(ev.next(t).release)
+				advance(clk, interval)
+			}
+			ev.next(t) // the next execution is held in flight
+			if tc.pauseResume {
+				eventually(t, "released executions recorded", func() bool {
+					return checkCount(run.Status()) == released
+				})
+				gen, err := run.Pause()
+				if err != nil {
+					t.Fatalf("Pause: %v", err)
+				}
+				if err := run.Resume(gen); err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				ev.next(t) // the re-entry's first execution, held
+			}
+			eventually(t, "check progress in status", func() bool {
+				return checkCount(run.Status()) == tc.want
+			})
+			st := run.Status()
+			if st.Current != "canary" || st.State != RunRunning {
+				t.Fatalf("status = %s in %q, want running in canary", st.State, st.Current)
+			}
+			c := st.Checks[0]
+			if c.Name != "errors" || c.Kind != "basic" || c.Executions != tc.want ||
+				c.Successes != tc.want || c.Failures != 0 {
+				t.Fatalf("check status = %+v, want %d of %d executions successful", c, tc.want, tc.want)
+			}
+		})
+	}
+}
+
+// checkCount is the executions of the status's only check, or -1 when
+// Status.Checks does not hold exactly one entry.
+func checkCount(st Status) int {
+	if len(st.Checks) != 1 {
+		return -1
+	}
+	return st.Checks[0].Executions
+}

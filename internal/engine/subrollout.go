@@ -170,46 +170,17 @@ func (r *Run) executeSubRollout(ctx context.Context, state *core.State) (stepRes
 	// Recovery re-link: journal replay reduced the parent's child-linkage
 	// events into Status.Children. Seed tracking from it so finished
 	// children stay decided and nothing already journaled is re-published.
-	r.mu.Lock()
-	for _, cs := range r.status.Children {
+	for _, cs := range r.Status().Children {
 		if t, ok := tracks[cs.Name]; ok {
 			t.phase, t.state = cs.Phase, cs.State
 			t.done, t.passed = cs.Passed || cs.Failed, cs.Passed
 			t.announced = true
 		}
 	}
-	r.mu.Unlock()
 
-	// setChildStatus maintains the live run's own Children mirror
-	// (copy-on-write: the journal mirror holds a reduction of the same
-	// events in its own slice, and neither may mutate a shared array).
-	setChildStatus := func(t *childTrack) {
-		cs := ChildStatus{
-			Name: t.ref.Name, Region: t.ref.Region,
-			State: t.state, Phase: t.phase,
-		}
-		if t.done {
-			cs.Passed = t.passed
-			cs.Failed = !t.passed
-		}
-		r.mu.Lock()
-		kids := append([]ChildStatus(nil), r.status.Children...)
-		replaced := false
-		for i := range kids {
-			if kids[i].Name == cs.Name {
-				kids[i] = cs
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			kids = append(kids, cs)
-		}
-		r.status.Children = kids
-		r.mu.Unlock()
-	}
+	// publishChild reports a child's progress; the parent's status reduces
+	// it into Status.Children.
 	publishChild := func(typ EventType, t *childTrack, detail string, outcome int) {
-		setChildStatus(t)
 		r.publish(Event{
 			Type: typ, State: state.ID,
 			Child: t.ref.Name, Region: t.ref.Region,

@@ -578,7 +578,6 @@ func TestCancelledAnalysisDiscarded(t *testing.T) {
 	check := &core.Check{Name: "g", Kind: core.CompareCheck, Analyze: blocked}
 	cr := newCheckRunner(check, time.Time{}, 0)
 	cr.lastVerdict = core.Verdict{Decision: core.DecisionPass}
-	cr.executions, cr.successes = 1, 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -587,12 +586,11 @@ func TestCancelledAnalysisDiscarded(t *testing.T) {
 	}()
 	cr.runOnce(ctx, r, "")
 
-	st := cr.snapshot()
-	if st.Executions != 1 || st.Inconclusive != 0 {
-		t.Errorf("cancelled execution tallied: %+v", st)
+	if evs := eng.RunEvents("cancel-test", 0); len(evs) != 0 {
+		t.Errorf("cancelled execution published: %+v", evs)
 	}
-	if st.Verdict == nil || st.Verdict.Decision != core.DecisionPass {
-		t.Errorf("verdict overwritten by cancelled execution: %+v", st.Verdict)
+	if cr.lastVerdict.Decision != core.DecisionPass {
+		t.Errorf("verdict overwritten by cancelled execution: %+v", cr.lastVerdict)
 	}
 	if out, err := cr.mappedOutcome(); err != nil || out != 1 {
 		t.Errorf("mappedOutcome = %d, %v; want 1 (the real verdict)", out, err)

@@ -86,6 +86,12 @@ type Server struct {
 	mu     sync.Mutex
 	done   chan struct{}
 	srvErr error
+	// fresh holds the connections that have not carried a request yet. A
+	// client's pool may keep one indefinitely (a dial that lost the race
+	// to an idle connection), and http.Server.Shutdown waits 5 s before it
+	// counts such a connection idle, so Shutdown closes them itself.
+	fresh    map[net.Conn]struct{}
+	stopping bool
 }
 
 // NewServer creates a server for handler on addr (host:port; port may be 0).
@@ -95,14 +101,31 @@ func NewServer(addr string, handler http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
-	return &Server{
-		srv: &http.Server{
-			Handler:           handler,
-			ReadHeaderTimeout: 10 * time.Second,
-		},
+	s := &Server{
 		listener: ln,
 		done:     make(chan struct{}),
-	}, nil
+		fresh:    make(map[net.Conn]struct{}),
+	}
+	s.srv = &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		ConnState:         s.connState,
+	}
+	return s, nil
+}
+
+// connState tracks the connections that have not carried a request yet.
+func (s *Server) connState(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.fresh, c)
+	case s.stopping:
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
 }
 
 // Addr returns the bound address, e.g. "127.0.0.1:43817".
@@ -125,7 +148,15 @@ func (s *Server) Start() {
 }
 
 // Shutdown stops the server gracefully and waits for the serve goroutine.
+// Requests in flight finish; connections that never carried a request are
+// closed at once.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
+	s.stopping = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
 	err := s.srv.Shutdown(ctx)
 	select {
 	case <-s.done:
