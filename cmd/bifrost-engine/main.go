@@ -67,7 +67,7 @@ func run() error {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second,
 		"HA run-lease lifetime; a dead replica's runs are adopted after this long")
 	flushEvery := flag.Duration("journal-flush-interval", 0,
-		"journal group-commit window (0: journal default; negative: fsync every append)")
+		"journal group-commit window (0: journal default, 25ms); terminal events always wait for their fsync. Negative: fsync every append, and every event waits for its record")
 	heartbeatEvery := flag.Duration("journal-heartbeat", 30*time.Second,
 		"cadence of journal liveness heartbeats (bounds recovery's downtime estimate)")
 	fleetQuorum := flag.Int("fleet-quorum", 0,

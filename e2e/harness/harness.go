@@ -257,8 +257,9 @@ func (r *Replica) start() {
 		"-peers", r.fleet.peersArg,
 		"-lease-ttl", r.fleet.opts.LeaseTTL.String(),
 		"-journal-heartbeat", r.fleet.opts.Heartbeat.String(),
-		// Write-through journaling: every append fsyncs, so a kill -9
-		// loses nothing that a watcher already saw.
+		// Write-through journaling: every event waits for its fsynced
+		// record before it is visible, so a kill -9 loses nothing that a
+		// watcher already saw.
 		"-journal-flush-interval", "-1ns",
 		"-sysmon-interval", "0",
 	}

@@ -167,6 +167,12 @@ func TestAPIScheduleTemplateIsAtomic(t *testing.T) {
 	if _, err := c.Schedule(ctx, blocker); err != nil {
 		t.Fatal(err)
 	}
+	// The blocker's first state_entered is published by its run loop, after
+	// Schedule returns: wait for it, so the check below reads its state.
+	eventually(t, "blocker running", func() bool {
+		r, ok := eng.Run("canary-us-paid")
+		return ok && r.Status().State == RunRunning
+	})
 
 	_, err := c.ScheduleAll(ctx, matrixYAML)
 	if err == nil {

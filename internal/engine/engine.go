@@ -88,15 +88,14 @@ type Engine struct {
 	hbQuit chan struct{}
 
 	// pubMu serializes the publish pipeline: sequence assignment, mirror
-	// reduction, journal append, and bus fan-out happen atomically with
+	// reduction, journal enqueue, and bus fan-out happen atomically with
 	// respect to each other, so snapshots taken under pubMu are consistent
 	// with a journal position.
 	pubMu      sync.Mutex
 	mirror     *engineMirror
 	journals   *journal.Set
 	compacting atomic.Bool
-	// jw moves journal appends off pubMu (nil for write-through journals
-	// and journal-less engines, which keep the inline append path).
+	// jw appends every journal record (nil without a journal).
 	jw *journalWriter
 
 	// hbEvery paces heartbeat records on journaled engines.
@@ -253,13 +252,7 @@ func New(opts ...Option) *Engine {
 	e.mRecovered = e.registry.Counter("engine_runs_recovered_total", nil)
 	e.mFenced = e.registry.Counter("engine_journal_fenced_total", nil)
 	if e.journals != nil {
-		if !e.journals.WriteThrough() {
-			// Buffered flushing: appends move to the async journal writer
-			// so the publish critical section stays I/O-free. Write-through
-			// journals keep the inline path — their contract is that the
-			// record hits the OS before any subscriber sees the event.
-			e.jw = newJournalWriter(e)
-		}
+		e.jw = newJournalWriter(e, e.journals)
 		e.hbQuit = make(chan struct{})
 		go e.heartbeatLoop(e.clk.NewTicker(e.hbEvery))
 	}
@@ -343,57 +336,36 @@ func (e *Engine) scheduleRecord(r *Run, source string) {
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
 	ev := e.bus.stamp(Event{Strategy: s.Name, Type: EventScheduled, Time: e.clk.Now()})
-	f := newFrame(ev)
 	e.mirror.apply(s, ev)
 	e.mirror.setSource(s.Name, source)
 	r.mirror = e.mirror.Runs[s.Name]
-	e.journalFrame(f)
-	if source != "" {
-		rec := journal.Record{
-			Seq: ev.Seq, Time: ev.Time, Type: recSource, Run: s.Name,
-			Data: mustJSON(sourceRecord{Source: source}),
-		}
-		if e.jw != nil {
-			// Enqueued right behind the scheduled event, still under pubMu,
-			// so replay sees them adjacent exactly like the inline path.
-			e.jw.enqueue(jreq{rec: rec})
-		} else {
-			e.journalAppend(s.Name, rec)
-		}
+	if source == "" {
+		e.emit(ev)
+		return
 	}
-	e.bus.fanout(f)
+	e.emit(ev, journal.Record{
+		Seq: ev.Seq, Time: ev.Time, Type: recSource, Run: s.Name,
+		Data: mustJSON(sourceRecord{Source: source}),
+	})
 }
 
 // publish runs one event through the staged pipeline: stamp a sequence
-// number into the replay ring, encode the event exactly once into a pooled
-// frame, reduce into the durable per-run mirror, hand the frame to the
-// journal stage, and fan the same frame out to subscribers. With
-// write-through flushing the journal append is inline, so a watcher never
-// sees an event a crash could unwind; with buffered flushing the append is
-// enqueued (in publish order) to the async journal writer, and terminal
-// events wait for durability after pubMu is released. strategy is used by
-// the mirror's planned-duration accounting and may be nil.
+// number, reduce the event into the durable per-run mirror, then emit it
+// to the journal and the subscribers. strategy is used by the
+// mirror's planned-duration accounting and may be nil.
 func (e *Engine) publish(strategy *core.Strategy, ev Event) {
 	e.pubMu.Lock()
 	ev = e.bus.stamp(ev)
-	f := newFrame(ev)
 	e.mirror.apply(strategy, ev)
-	durable := e.journalFrame(f)
+	e.emit(ev)
 	var shouldCompact bool
 	if e.journals != nil {
 		if j, ok := e.journals.Get(ev.Strategy); ok {
 			shouldCompact = j.ShouldCompact()
 		}
 	}
-	e.bus.fanout(f)
 	e.pubMu.Unlock()
 
-	if durable != nil {
-		// Terminal event in async-writer mode: wait for append+fsync with
-		// pubMu released — the same durability point the old inline Sync
-		// provided, without stalling other publishers behind the disk.
-		<-durable
-	}
 	if shouldCompact && e.compacting.CompareAndSwap(false, true) {
 		go e.compact()
 	}
@@ -430,39 +402,21 @@ func (e *Engine) heartbeatLoop(t clock.Ticker) {
 			if len(live) == 0 {
 				continue
 			}
-			// Capture the clock position under pubMu so heartbeat times stay
-			// consistent with the sequence counter, but keep the appends
-			// themselves off the publish pipeline's critical section: N
-			// runs' synchronous heartbeat writes must not stall publishers.
+			// Enqueue under pubMu, so heartbeat times stay consistent with
+			// the sequence counter and each heartbeat keeps its place in its
+			// partition's publish order. Heartbeats are not events: nothing
+			// waits for them.
 			e.pubMu.Lock()
 			now := e.clk.Now()
-			seq := e.bus.currentSeq()
-			js := e.journals
-			if seq > 0 && js != nil {
+			if seq := e.bus.currentSeq(); seq > 0 {
 				if now.After(e.mirror.LastTime) {
 					e.mirror.LastTime = now
 				}
-				if e.jw != nil {
-					// Async mode: enqueue under pubMu — each heartbeat keeps
-					// its place in its partition's publish order, and the
-					// writer goroutine does the I/O.
-					for _, name := range live {
-						e.jw.enqueue(jreq{rec: journal.Record{Seq: seq, Time: now, Type: recHeartbeat, Run: name}})
-					}
+				for _, name := range live {
+					e.jw.enqueue(jreq{rec: journal.Record{Seq: seq, Time: now, Type: recHeartbeat, Run: name}})
 				}
 			}
 			e.pubMu.Unlock()
-			if seq > 0 && js != nil && e.jw == nil {
-				// Write-through mode: append after releasing pubMu.
-				// Heartbeat records are order-insensitive — recovery takes
-				// the newest record time it sees, wherever it sits in the
-				// partition — so racing a concurrent publish cannot corrupt
-				// elapsed-in-state accounting, and racing the journal's
-				// close is a harmless ErrClosed.
-				for _, name := range live {
-					e.journalAppendTo(js, name, journal.Record{Seq: seq, Time: now, Type: recHeartbeat, Run: name})
-				}
-			}
 		case <-e.hbQuit:
 			return
 		}
@@ -495,73 +449,37 @@ func mustJSON(v any) json.RawMessage {
 	return raw
 }
 
-// journalFrame hands the published event behind f to the journal stage,
-// sharing the frame's encode-once bytes as the record payload. Removal
-// events are not journaled: Remove deletes the whole partition instead,
-// which is the stronger statement. Callers hold pubMu.
+// emit is the tail of the publish pipeline; callers hold pubMu, so both
+// the journal queue and the fan-out follow publish order. It encodes ev
+// exactly once into a pooled frame, hands the frame's bytes to the journal
+// writer as ev's record, followed by extra (records sharing ev's sequence
+// number), and fans the same frame out to subscribers. Removal events are
+// not journaled: Remove deletes the whole partition instead, which is the
+// stronger statement.
 //
-// Write-through journals (and the terminal Sync) stay fully inline under
-// pubMu, preserving the "a subscriber never sees an event a crash could
-// unwind" contract. With the async writer the record is enqueued in publish
-// order instead; terminal events return a channel closed once the record is
-// appended and fsynced, and publish waits on it after releasing pubMu — a
-// crash right after a run finishes can still never resurrect it.
-func (e *Engine) journalFrame(f *frame) <-chan struct{} {
-	ev := f.ev
-	if e.journals == nil || ev.Type == EventRemoved {
-		return nil
-	}
-	terminal := ev.Type == EventCompleted || ev.Type == EventAborted || ev.Type == EventError
-	rec := journal.Record{Seq: ev.Seq, Time: ev.Time, Type: recEvent, Run: ev.Strategy}
-	if e.jw == nil {
-		// The caller's frame reference outlives Append (fanout releases it
-		// later in the same publish), so the record borrows the encoded
-		// bytes without copying.
-		rec.Data = json.RawMessage(f.data())
-		e.journalAppend(ev.Strategy, rec)
-		if terminal {
-			if j, ok := e.journals.Get(ev.Strategy); ok {
-				_ = j.Sync()
-			}
+// Durability is decided per record. A record that must be durable before
+// it is visible — a terminal event on any set, every event on a
+// write-through set — is waited for before the fan-out, still under
+// pubMu, so fan-out stays in sequence order and no subscriber (and no
+// status read) sees an event a crash could unwind. Every other frame fans
+// out at once.
+func (e *Engine) emit(ev Event, extra ...journal.Record) {
+	f := newFrame(ev)
+	if e.journals != nil && ev.Type != EventRemoved {
+		terminal := ev.Type == EventCompleted || ev.Type == EventAborted || ev.Type == EventError
+		e.jw.enqueue(jreq{
+			rec:  journal.Record{Seq: ev.Seq, Time: ev.Time, Type: recEvent, Run: ev.Strategy},
+			f:    f.retain(),
+			sync: terminal,
+		})
+		for _, rec := range extra {
+			e.jw.enqueue(jreq{rec: rec})
 		}
-		return nil
-	}
-	req := jreq{rec: rec, f: f.retain(), sync: terminal}
-	if terminal {
-		req.doneCh = make(chan struct{})
-	}
-	e.jw.enqueue(req)
-	return req.doneCh
-}
-
-// journalAppend writes one record to run's partition. Callers hold pubMu.
-func (e *Engine) journalAppend(run string, rec journal.Record) {
-	if e.journals == nil {
-		return
-	}
-	e.journalAppendTo(e.journals, run, rec)
-}
-
-// journalAppendTo writes one record to run's partition in js (opened on
-// first use with the run's fencing token), counting it. A fenced append
-// means this replica lost the run's ownership mid-write: the record is
-// dropped — the new owner's replay defines the truth now — and the loss is
-// counted. js is passed explicitly so callers that captured the set under
-// pubMu (the write-through heartbeat path) can append after releasing it.
-func (e *Engine) journalAppendTo(js *journal.Set, run string, rec journal.Record) {
-	j, err := js.Partition(run, e.fenceFor(run))
-	if err != nil {
-		if !errors.Is(err, journal.ErrClosed) {
-			e.mFenced.Inc()
+		if terminal || e.jw.writeThrough {
+			e.jw.barrier()
 		}
-		return
 	}
-	switch err := j.Append(rec); {
-	case err == nil:
-		e.mJournaled.Inc()
-	case errors.Is(err, journal.ErrFenced):
-		e.mFenced.Inc()
-	}
+	e.bus.fanout(f)
 }
 
 // fenceFor returns the fencing token for run's partition (0: flock mode).
@@ -731,17 +649,15 @@ func (e *Engine) Remove(name string) error {
 	// Drop the run's journal partition before announcing the removal: a
 	// crash in between leaves no trace for recovery to resurrect. The
 	// removal is still published as a regular event (mirror + SSE) so
-	// watchers and the dashboard see it; journalEvent skips it — there is
+	// watchers and the dashboard see it; emit does not journal it — there is
 	// no partition left to write to. Done under e.mu so a concurrent
 	// re-enactment of the name cannot schedule between the partition
 	// removal and the mirror removal.
 	if e.journals != nil {
-		if e.jw != nil {
-			// Flush queued appends first: a record still in the writer's
-			// queue must not re-create the partition directory after the
-			// removal. Safe under e.mu — the writer never takes it.
-			e.jw.barrier()
-		}
+		// Flush queued appends first: a record still in the writer's
+		// queue must not re-create the partition directory after the
+		// removal. Safe under e.mu — the writer never takes it.
+		e.jw.barrier()
 		_ = e.journals.Remove(name)
 	}
 	e.publish(nil, Event{Strategy: name, Type: EventRemoved, Time: e.clk.Now()})
@@ -770,11 +686,9 @@ func (e *Engine) Evict(name string) error {
 	delete(e.mirror.Runs, name)
 	e.pubMu.Unlock()
 	if e.journals != nil {
-		if e.jw != nil {
-			// The run's queued records must reach the partition before it
-			// closes — the adopting replica replays this file.
-			e.jw.barrier()
-		}
+		// The run's queued records must reach the partition before it
+		// closes — the adopting replica replays this file.
+		e.jw.barrier()
 		_ = e.journals.CloseRun(name)
 	}
 	return nil
@@ -825,18 +739,16 @@ func (e *Engine) Suspend() {
 // closeJournal takes a final per-partition snapshot (so restarts replay a
 // compact prefix) and closes the set. Run loops have already stopped.
 func (e *Engine) closeJournal() {
-	if e.jw != nil {
-		// Drain the async writer before touching the set: every queued
-		// record lands in its partition, and the writer goroutine (which
-		// briefly takes pubMu per batch) is gone before we hold pubMu.
-		e.jw.stopAndDrain()
-	}
 	e.pubMu.Lock()
 	js := e.journals
 	if js == nil {
 		e.pubMu.Unlock()
 		return
 	}
+	// Drain the writer before clearing the field, so every queued record
+	// lands in its partition. The writer takes no pubMu, and holding it
+	// keeps publishers from enqueueing in between.
+	e.jw.stopAndDrain()
 	e.journals = nil
 	e.mirror.Generation = e.generation.Load()
 	seq := e.bus.currentSeq()

@@ -124,12 +124,14 @@ type Event struct {
 // eventBus fans events out to subscribers and keeps a bounded replay
 // buffer for the status API.
 type eventBus struct {
-	mu   sync.Mutex
-	seq  int64
-	ring []Event
-	next int
-	full bool
-	subs map[int]chan Event
+	mu sync.Mutex
+	// seq is the newest stamped sequence number; shown is the newest one
+	// fanned out, the last event readers of the bus can see.
+	seq, shown int64
+	ring       []Event
+	next       int
+	full       bool
+	subs       map[int]chan Event
 	// frameSubs receive the pooled encode-once frames instead of Event
 	// copies: the SSE fan-out path subscribes here so each delivery is one
 	// pointer send and the pre-encoded bytes are shared by every stream.
@@ -146,10 +148,10 @@ func newEventBus(ringSize int) *eventBus {
 	}
 }
 
-// stamp assigns the next sequence number and inserts the event into the
-// replay ring WITHOUT fanning it out. The publish pipeline journals the
-// stamped event between stamp and fanout, so with write-through flushing a
-// subscriber never observes an event a crash could still unwind.
+// stamp assigns the next sequence number. The event stays invisible —
+// out of the replay ring, unseen by subscribers — until fanout: between
+// the two the publish pipeline journals it and, when its record must be
+// durable before it is visible, waits for that record.
 func (b *eventBus) stamp(ev Event) Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -158,19 +160,28 @@ func (b *eventBus) stamp(ev Event) Event {
 	}
 	b.seq++
 	ev.Seq = b.seq
+	return ev
+}
+
+// insertLocked adds ev to the replay ring and marks its sequence number
+// shown. Callers hold b.mu.
+func (b *eventBus) insertLocked(ev Event) {
 	b.ring[b.next] = ev
 	b.next = (b.next + 1) % len(b.ring)
 	if b.next == 0 {
 		b.full = true
 	}
-	return ev
+	b.shown = max(b.shown, ev.Seq)
 }
 
-// fanout delivers a stamped frame to subscribers: Event copies to classic
-// channels, retained frame pointers to frame channels. It consumes the
-// caller's reference.
+// fanout makes a stamped frame visible: it enters the replay ring, and
+// subscribers receive Event copies on classic channels and retained frame
+// pointers on frame channels. It consumes the caller's reference.
 func (b *eventBus) fanout(f *frame) {
 	b.mu.Lock()
+	if !b.closed {
+		b.insertLocked(f.ev)
+	}
 	for _, ch := range b.subs {
 		select {
 		case ch <- f.ev:
@@ -196,14 +207,8 @@ func (b *eventBus) fanout(f *frame) {
 // the pre-restart numbering (SSE Last-Event-ID stays valid across restarts).
 func (b *eventBus) restore(ev Event) {
 	b.mu.Lock()
-	if ev.Seq > b.seq {
-		b.seq = ev.Seq
-	}
-	b.ring[b.next] = ev
-	b.next = (b.next + 1) % len(b.ring)
-	if b.next == 0 {
-		b.full = true
-	}
+	b.seq = max(b.seq, ev.Seq)
+	b.insertLocked(ev)
 	b.mu.Unlock()
 }
 
@@ -211,17 +216,17 @@ func (b *eventBus) restore(ev Event) {
 // events are no longer individually available).
 func (b *eventBus) setSeq(seq int64) {
 	b.mu.Lock()
-	if seq > b.seq {
-		b.seq = seq
-	}
+	b.seq = max(b.seq, seq)
+	b.shown = max(b.shown, seq)
 	b.mu.Unlock()
 }
 
-// currentSeq returns the sequence number of the newest published event.
+// currentSeq returns the sequence number of the newest visible event.
+// Under pubMu that is also the newest stamped one.
 func (b *eventBus) currentSeq() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.seq
+	return b.shown
 }
 
 // since returns the buffered events with Seq > afterSeq, oldest first, and
@@ -249,8 +254,8 @@ func (b *eventBus) since(afterSeq int64) ([]Event, bool) {
 	if size > 0 {
 		oldest = b.ring[start%len(b.ring)].Seq
 	} else {
-		// Empty ring: everything up to the current counter is gone.
-		oldest = b.seq + 1
+		// Empty ring: everything shown so far is gone.
+		oldest = b.shown + 1
 	}
 	dropped := oldest > afterSeq+1
 	return out, dropped

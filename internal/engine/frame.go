@@ -11,7 +11,7 @@ import (
 // publish pipeline encodes each event exactly once, under pubMu, and the
 // same bytes then feed the run's journal record and every SSE subscriber
 // (httpx.SSEWriter.SendRaw). Frames are pooled and reference-counted —
-// publish holds one reference, the async journal writer takes one, and the
+// publish holds one reference, the journal writer takes one, and the
 // bus takes one per subscriber channel it delivers to — so steady-state
 // fan-out recycles buffers instead of re-marshaling and re-allocating per
 // subscriber.

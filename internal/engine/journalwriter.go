@@ -7,28 +7,31 @@ import (
 	"bifrost/internal/journal"
 )
 
-// journalWriter moves journal I/O off the publish pipeline's critical
-// section. Publishers enqueue records while still holding pubMu — so the
-// queue order is exactly the publish order, per run and globally — and a
-// single writer goroutine drains the queue, grouping consecutive same-run
-// records into one AppendBatch (one partition lock acquisition and bufio
-// pass per group) instead of a bufio write per record under pubMu.
+// journalWriter is the only code that appends engine records. Publishers
+// enqueue records while holding pubMu — so the queue order is exactly the
+// publish order, per run and globally — and a single writer goroutine
+// drains the queue, grouping consecutive same-run records into one
+// AppendBatch (one partition lock acquisition and bufio pass per group).
 //
-// Durability points are preserved, not weakened:
+// Durability is a per-record wait, decided by publish: a record that must
+// be durable before it is visible (a terminal event on any set, every
+// event on a write-through set) is followed by a barrier, and publish
+// fans its frame out only once the barrier returns. Terminal records ask
+// for a partition fsync after their group is appended; on a write-through
+// set the append itself fsyncs. Remove, Evict and close use the same
+// barrier to drain every record enqueued so far before deleting or closing
+// a partition, so a queued record can never resurrect a removed run's
+// directory.
 //
-//   - terminal records (run completed/aborted/failed) carry a done channel;
-//     publish waits on it after releasing pubMu, and the writer closes it
-//     only after the record is appended and its partition fsynced — exactly
-//     the synchronous j.Sync() the old inline path performed.
-//   - write-through journals (FlushInterval < 0) never use the writer at
-//     all: the engine keeps appending inline under pubMu, so the "a
-//     subscriber never sees an event a crash could unwind" contract of
-//     write-through mode is untouched.
-//   - barrier() lets Remove/Evict/close drain every record enqueued so far
-//     before deleting or closing a partition, so a queued record can never
-//     resurrect a removed run's directory.
+// The writer takes neither e.mu nor pubMu, so publish may wait on it while
+// holding pubMu. It appends to the set it was started with; closeJournal
+// stops it before clearing e.journals.
 type journalWriter struct {
-	e *Engine
+	e  *Engine
+	js *journal.Set
+	// writeThrough: every append on js is fsynced before it returns, and
+	// every event waits for its record before it is visible.
+	writeThrough bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -37,23 +40,23 @@ type journalWriter struct {
 	done    chan struct{} // closed when the writer goroutine exits
 }
 
-// jreq is one queued journal write (or a barrier marker).
+// jreq is one queued journal write, or a barrier marker when doneCh is set.
 type jreq struct {
 	rec journal.Record
 	// f, when set, supplies rec.Data at write time: the record shares the
 	// frame's encode-once bytes, and the reference is held until the write
 	// completes so the pooled buffer cannot be recycled under the writer.
 	f *frame
-	// sync requests a partition fsync after this record's group is written
-	// (terminal records). doneCh, when set, is closed once the record is
-	// written (and synced, if requested).
-	sync    bool
-	doneCh  chan struct{}
-	barrier bool
+	// sync requests a partition fsync after this record's group is
+	// written (terminal records).
+	sync bool
+	// doneCh marks a barrier: it is closed once every record queued
+	// before it is written (and synced, if requested).
+	doneCh chan struct{}
 }
 
-func newJournalWriter(e *Engine) *journalWriter {
-	w := &journalWriter{e: e, done: make(chan struct{})}
+func newJournalWriter(e *Engine, js *journal.Set) *journalWriter {
+	w := &journalWriter{e: e, js: js, writeThrough: js.FlushInterval() < 0, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 	go w.loop()
 	return w
@@ -71,9 +74,6 @@ func (w *journalWriter) enqueue(req jreq) {
 		if req.f != nil {
 			req.f.release()
 		}
-		if req.doneCh != nil {
-			close(req.doneCh)
-		}
 		return
 	}
 	w.queue = append(w.queue, req)
@@ -82,16 +82,17 @@ func (w *journalWriter) enqueue(req jreq) {
 }
 
 // barrier blocks until every record enqueued before the call has been
-// written through to its partition. The writer goroutine takes neither e.mu
-// nor pubMu, so barrier is safe to call while holding either.
+// written through to its partition (and fsynced, where requested), or
+// until the stopping writer has drained its queue.
 func (w *journalWriter) barrier() {
 	ch := make(chan struct{})
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
+		<-w.done
 		return
 	}
-	w.queue = append(w.queue, jreq{barrier: true, doneCh: ch})
+	w.queue = append(w.queue, jreq{doneCh: ch})
 	w.cond.Signal()
 	w.mu.Unlock()
 	<-ch
@@ -133,14 +134,14 @@ func (w *journalWriter) loop() {
 func (w *journalWriter) writeBatch(batch []jreq) {
 	recs := make([]journal.Record, 0, len(batch))
 	for i := 0; i < len(batch); {
-		if batch[i].barrier {
+		if batch[i].doneCh != nil {
 			close(batch[i].doneCh)
 			i++
 			continue
 		}
 		run := batch[i].rec.Run
 		j := i
-		for j < len(batch) && !batch[j].barrier && batch[j].rec.Run == run {
+		for j < len(batch) && batch[j].doneCh == nil && batch[j].rec.Run == run {
 			j++
 		}
 		group := batch[i:j]
@@ -159,27 +160,19 @@ func (w *journalWriter) writeBatch(batch []jreq) {
 			if group[k].f != nil {
 				group[k].f.release()
 			}
-			if group[k].doneCh != nil {
-				close(group[k].doneCh)
-			}
 		}
 		i = j
 	}
 }
 
-// appendGroup writes one run's consecutive records, counting them the same
-// way the inline path did: journaled on success, fenced when this replica
-// lost the run's ownership mid-write (the new owner's replay defines the
-// truth; the records are dropped).
+// appendGroup writes one run's consecutive records to its partition
+// (opened on first use with the run's fencing token), counting them:
+// journaled on success, fenced when this replica lost the run's ownership
+// mid-write (the new owner's replay defines the truth; the records are
+// dropped).
 func (w *journalWriter) appendGroup(run string, recs []journal.Record, needSync bool) {
 	e := w.e
-	e.pubMu.Lock()
-	js := e.journals
-	e.pubMu.Unlock()
-	if js == nil {
-		return
-	}
-	j, err := js.Partition(run, e.fenceFor(run))
+	j, err := w.js.Partition(run, e.fenceFor(run))
 	if err != nil {
 		if !errors.Is(err, journal.ErrClosed) {
 			e.mFenced.Add(float64(len(recs)))

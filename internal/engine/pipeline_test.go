@@ -8,11 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"bifrost/internal/core"
 	"bifrost/internal/journal"
 )
 
 // readPartitionRecords parses every record in a run's partition directly
 // from its segment files — what a crash at this instant would leave behind.
+// A final line still being written (no newline yet) is a torn tail, which
+// replay skips too.
 func readPartitionRecords(t *testing.T, root, run string) []journal.Record {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(root, "runs", run, "seg-*"))
@@ -25,7 +28,8 @@ func readPartitionRecords(t *testing.T, root, run string) []journal.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(string(raw), "\n") {
+		lines := strings.Split(string(raw), "\n")
+		for _, line := range lines[:len(lines)-1] {
 			if line == "" {
 				continue
 			}
@@ -53,7 +57,7 @@ func TestAsyncWriterTerminalDurabilityAndOrder(t *testing.T) {
 	e := New(WithJournalSet(js))
 	defer e.Shutdown()
 	if e.jw == nil {
-		t.Fatal("buffered journal must use the async writer")
+		t.Fatal("journaled engine must start the journal writer")
 	}
 
 	now := time.Now()
@@ -147,5 +151,74 @@ func TestRemoveAfterAsyncAppendsLeavesNoPartition(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "runs", "gone")); !os.IsNotExist(err) {
 		t.Fatalf("partition directory survived removal (stat err=%v)", err)
+	}
+}
+
+// onDisk reports whether recs holds the event record with sequence seq.
+func onDisk(recs []journal.Record, seq int64) bool {
+	for _, rec := range recs {
+		if rec.Type == recEvent && rec.Seq == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTerminalDurableBeforeVisible pins the per-record durability rule:
+// a record that must be durable is on disk before its event is visible.
+// The test reads the run's segment files as each event reaches a
+// subscriber, and once the replay ring shows the terminal event. On a
+// buffered set the terminal record must be there; on a write-through set
+// every event's record must.
+func TestTerminalDurableBeforeVisible(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flush time.Duration
+		every bool // every event must be on disk, not only the terminal one
+	}{
+		{"buffered", time.Hour, false},
+		{"write-through", -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			js, err := OpenJournal(dir, journal.Options{FlushInterval: tc.flush})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(WithJournalSet(js))
+			defer e.Shutdown()
+			events, cancel := e.Subscribe(256)
+			defer cancel()
+
+			s := canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 2)
+			if _, err := e.Enact(s); err != nil {
+				t.Fatal(err)
+			}
+			delivered, inRing := false, false
+			for deadline := time.Now().Add(10 * time.Second); !delivered || !inRing; {
+				if time.Now().After(deadline) {
+					t.Fatalf("run never completed (delivered %v, in ring %v)", delivered, inRing)
+				}
+				for _, ev := range e.RecentEvents(1) {
+					if !inRing && ev.Strategy == s.Name && ev.Type == EventCompleted {
+						inRing = true
+						if !onDisk(readPartitionRecords(t, dir, s.Name), ev.Seq) {
+							t.Errorf("replay ring shows completed (seq %d) before its record is on disk", ev.Seq)
+						}
+					}
+				}
+				select {
+				case ev := <-events:
+					if ev.Strategy != s.Name {
+						continue
+					}
+					delivered = ev.Type == EventCompleted
+					if (tc.every || delivered) && !onDisk(readPartitionRecords(t, dir, s.Name), ev.Seq) {
+						t.Errorf("%s (seq %d) delivered before its record is on disk", ev.Type, ev.Seq)
+					}
+				default:
+				}
+			}
+		})
 	}
 }

@@ -736,54 +736,70 @@ func TestSimultaneousInterruptsAllObserved(t *testing.T) {
 
 // TestShutdownEnactRaceStress hammers schedule/finish/abort/remove against
 // Shutdown under the race detector: no panic, no run escaping Shutdown, no
-// journal record after close, and Enact failing cleanly afterwards.
+// journal record after close, and Enact failing cleanly afterwards. It runs
+// on a write-through and a buffered set, so the terminal durability wait
+// races Remove, Shutdown's drain and compaction on both.
 func TestShutdownEnactRaceStress(t *testing.T) {
-	eng := New(WithJournalSet(openTestJournal(t, t.TempDir())))
+	for _, tc := range []struct {
+		name string
+		opts journal.Options
+	}{
+		{"write-through", journal.Options{FlushInterval: -1}},
+		{"buffered", journal.Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			js, err := OpenJournal(t.TempDir(), tc.opts)
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			eng := New(WithJournalSet(js))
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 2)
-				s.Name = fmt.Sprintf("stress-%d-%d", g, n)
-				r, err := eng.Enact(s)
-				if err != nil {
-					if errors.Is(err, ErrEngineClosed) {
-						return
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for n := 0; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						s := canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 2)
+						s.Name = fmt.Sprintf("stress-%d-%d", g, n)
+						r, err := eng.Enact(s)
+						if err != nil {
+							if errors.Is(err, ErrEngineClosed) {
+								return
+							}
+							continue
+						}
+						switch n % 3 {
+						case 0:
+							_ = eng.Abort(s.Name)
+						case 1:
+							if r.Done() {
+								_ = eng.Remove(s.Name)
+							}
+						}
 					}
-					continue
-				}
-				switch n % 3 {
-				case 0:
-					_ = eng.Abort(s.Name)
-				case 1:
-					if r.Done() {
-						_ = eng.Remove(s.Name)
-					}
+				}(g)
+			}
+			time.Sleep(25 * time.Millisecond)
+			eng.Shutdown()
+			close(stop)
+			wg.Wait()
+
+			for _, r := range eng.Runs() {
+				if !r.Done() {
+					t.Errorf("run %s still live after Shutdown", r.Status().Strategy)
 				}
 			}
-		}(g)
-	}
-	time.Sleep(25 * time.Millisecond)
-	eng.Shutdown()
-	close(stop)
-	wg.Wait()
-
-	for _, r := range eng.Runs() {
-		if !r.Done() {
-			t.Errorf("run %s still live after Shutdown", r.Status().Strategy)
-		}
-	}
-	if _, err := eng.Enact(canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 2)); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("Enact after Shutdown = %v, want ErrEngineClosed", err)
+			if _, err := eng.Enact(canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 2)); !errors.Is(err, ErrEngineClosed) {
+				t.Errorf("Enact after Shutdown = %v, want ErrEngineClosed", err)
+			}
+		})
 	}
 }
 

@@ -9,11 +9,12 @@
 // hours-long multi-phase live tests survive a control-plane restart instead
 // of being silently aborted.
 //
-// Durability model: Append writes through a buffered writer to the current
-// segment and marks the journal dirty; a background flusher fsyncs at most
-// every FlushInterval (group commit), so a crash loses at most the last
-// interval's records — typically ending in a torn final line, which replay
-// tolerates. Sync forces a flush for records that must not be lost (run
+// Durability model: Append writes into a buffered writer on the current
+// segment and marks the journal dirty; a background flusher hands the
+// buffer to the OS and fsyncs it every FlushInterval (group commit), so a
+// crash — a killed process as much as a power loss — loses at most the
+// last interval's records, typically ending in a torn final line, which
+// replay tolerates. Sync forces a flush for records that must not be lost (run
 // finished). Segments rotate at SegmentBytes; Compact writes a snapshot
 // (atomic tmp+rename) and deletes segments wholly covered by it.
 package journal
@@ -453,9 +454,10 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// Append writes one record. It returns once the record is handed to the OS
-// (buffered); durability follows within FlushInterval, or immediately after
-// Sync.
+// Append writes one record into the journal's write buffer. The OS sees
+// it at the next flush (the FlushInterval flusher, a Sync, or a segment
+// rotation), and it is durable once that flush is fsynced. With a negative
+// FlushInterval it is flushed and fsynced before Append returns.
 func (j *Journal) Append(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -541,12 +543,6 @@ func (j *Journal) AppendBatch(recs []Record) error {
 	}
 	return nil
 }
-
-// WriteThrough reports whether every append is fsynced synchronously
-// (Options.FlushInterval < 0): callers that defer journal I/O for
-// throughput must bypass that deferral in write-through mode, where the
-// caller's contract is "durable before Append returns".
-func (j *Journal) WriteThrough() bool { return j.opts.FlushInterval < 0 }
 
 // Sync forces buffered records to stable storage.
 func (j *Journal) Sync() error {

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 const runsDir = "runs"
@@ -64,10 +65,10 @@ func OpenSet(root string, opts SetOptions) (*Set, error) {
 // Root returns the set's root directory.
 func (s *Set) Root() string { return s.root }
 
-// WriteThrough reports whether the set's partitions fsync every append
-// (Journal.WriteThrough); callers deferring journal I/O must not defer in
-// write-through mode.
-func (s *Set) WriteThrough() bool { return s.opts.Journal.FlushInterval < 0 }
+// FlushInterval returns the partitions' fsync batching window
+// (Options.FlushInterval, defaulted): negative means every append is
+// fsynced before it returns.
+func (s *Set) FlushInterval() time.Duration { return s.opts.Journal.FlushInterval }
 
 // Partition opens (or creates) the journal partition for run, with the
 // given fencing token (0 = classic flock protection). An already-open

@@ -8,7 +8,7 @@
 // pre-aggregated bucket summaries (summary.go); windowed queries — rate,
 // increase, the *_over_time family — combine whole buckets and touch raw
 // samples only at the window edges, and wide-window quantiles stream
-// through a P² estimator. The store also answers moments queries
+// through a sketch. The store also answers moments queries
 // (count/mean/variance of a population window, store and HTTP API), the
 // raw material of the DSL's statistical compare checks.
 //

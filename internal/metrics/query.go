@@ -27,7 +27,7 @@ import (
 //
 // Window functions are answered from the per-series pre-aggregated bucket
 // summaries where possible (see summary.go); wide-window quantiles stream
-// through a P² estimator instead of sorting a copy of the window.
+// through a sketch instead of sorting a copy of the window.
 //
 // A query that matches no fresh data returns ErrNoData.
 func (s *Store) Query(expr string, at time.Time) (float64, error) {

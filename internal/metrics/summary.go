@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bifrost/internal/sketch"
-	"bifrost/internal/stats"
 )
 
 // DefaultSummaryBucket is the width of the per-series pre-aggregation
@@ -304,16 +303,16 @@ func (s *Store) WindowMoments(name string, selector []LabelMatch, d time.Duratio
 	return pooled.moments(), nil
 }
 
-// p2ExactThreshold is the pooled window size up to which quantile queries
-// sort exactly; larger windows stream through the P² estimator instead of
+// exactQuantileThreshold is the pooled window size up to which quantile
+// queries sort exactly; larger windows stream through a sketch instead of
 // sorting a copy of every sample.
-const p2ExactThreshold = 256
+const exactQuantileThreshold = 256
 
 // WindowAggregate evaluates one range function (rate, increase, the
 // *_over_time family, quantile_over_time with quantile q) over the window
 // (at−d, at]. Decomposable aggregations are answered from the per-series
 // bucket summaries; quantiles stream the window's raw samples through a
-// P² estimator once the pooled sample count exceeds p2ExactThreshold.
+// sketch once the pooled sample count exceeds exactQuantileThreshold.
 func (s *Store) WindowAggregate(fn string, q float64, name string, selector []LabelMatch, d time.Duration, at time.Time) (float64, error) {
 	if fn == "quantile_over_time" {
 		return s.windowQuantile(name, selector, q, d, at)
@@ -370,14 +369,11 @@ func (a aggStats) populationVariance() float64 {
 	return a.m2 / float64(a.count)
 }
 
-// windowQuantile computes quantile_over_time. Purely local windows keep
-// the pre-federation behavior: exact (sorting a copy) for small pooled
-// windows, the P² streaming estimate for large ones. As soon as any
-// matched series is federated, the answer comes from merging the replica
-// sketches in the window (plus any local raw samples inserted into the
-// merged sketch), so a fleet p99 carries the sketch's relative-error
-// guarantee instead of P²'s unbounded cross-replica error — P² markers
-// cannot be merged at all.
+// windowQuantile computes quantile_over_time. Small purely local windows
+// sort a copy and answer exactly. Larger ones, and any window with a
+// federated series, answer from one sketch: the replica sketches in the
+// window merged, plus the local raw samples, so the quantile carries the
+// sketch's relative-error guarantee.
 func (s *Store) windowQuantile(name string, selector []LabelMatch, q float64, d time.Duration, at time.Time) (float64, error) {
 	matched := s.selectSeries(name, selector)
 	from, to := at.Add(-d), at
@@ -394,27 +390,24 @@ func (s *Store) windowQuantile(name string, selector []LabelMatch, q float64, d 
 		}
 	}
 	s.mu.RUnlock()
-	if len(sketches) > 0 {
-		merged := sketch.New(sketches[0].Alpha())
-		for _, sk := range sketches {
-			if err := merged.Merge(sk); err != nil {
-				return 0, err
-			}
+	if len(sketches) == 0 && len(raw) <= exactQuantileThreshold {
+		if len(raw) == 0 {
+			return 0, ErrNoData
 		}
-		for _, v := range raw {
-			merged.Add(v)
-		}
-		return merged.Quantile(q), nil
-	}
-	if len(raw) == 0 {
-		return 0, ErrNoData
-	}
-	if len(raw) <= p2ExactThreshold {
 		return quantile(raw, q), nil
 	}
-	est := stats.NewP2(q)
-	for _, v := range raw {
-		est.Add(v)
+	alpha := sketch.DefaultAlpha
+	if len(sketches) > 0 {
+		alpha = sketches[0].Alpha()
 	}
-	return est.Value(), nil
+	merged := sketch.New(alpha)
+	for _, sk := range sketches {
+		if err := merged.Merge(sk); err != nil {
+			return 0, err
+		}
+	}
+	for _, v := range raw {
+		merged.Add(v)
+	}
+	return merged.Quantile(q), nil
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"bifrost/internal/clock"
 	"bifrost/internal/httpx"
+	"bifrost/internal/sketch"
 )
 
 // rawWindowAggregate recomputes a window aggregation by brute force over
@@ -180,24 +182,31 @@ func TestWindowMomentsLargeMagnitude(t *testing.T) {
 	}
 }
 
-func TestWindowQuantileP2Path(t *testing.T) {
+// TestWindowQuantileSketchPath: a local window above
+// exactQuantileThreshold answers from a sketch, within its relative error
+// α of the exact ⌈q·n⌉-th smallest sample.
+func TestWindowQuantileSketchPath(t *testing.T) {
 	s := NewStore()
 	base := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(3))
-	n := 4 * p2ExactThreshold // force the streaming path
+	n := 4 * exactQuantileThreshold // force the sketch path
 	vals := make([]float64, n)
 	for i := range vals {
 		vals[i] = rng.NormFloat64()*5 + 50
 		s.Append("lat", nil, vals[i], base.Add(time.Duration(i)*100*time.Millisecond))
 	}
 	at := base.Add(time.Duration(n) * 100 * time.Millisecond)
-	got, err := s.WindowAggregate("quantile_over_time", 0.95, "lat", nil, time.Hour, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := quantile(vals, 0.95)
-	if math.Abs(got-exact) > 1.0 {
-		t.Errorf("P² p95 = %v, exact = %v", got, exact)
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		got, err := s.WindowAggregate("quantile_over_time", q, "lat", nil, time.Hour, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := sorted[int(math.Ceil(q*float64(n)))-1]
+		if math.Abs(got-exact) > sketch.DefaultAlpha*math.Abs(exact) {
+			t.Errorf("q=%v: sketch = %v, exact = %v, want within α=%v", q, got, exact, sketch.DefaultAlpha)
+		}
 	}
 }
 

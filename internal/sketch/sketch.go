@@ -27,10 +27,8 @@
 //     about (p90/p99) keep their guarantee; only quantiles that fall into
 //     the collapsed low tail degrade.
 //
-// Unlike the P² estimator in internal/stats (fixed five markers, not
-// mergeable, must be told its quantile up front), a sketch answers every
-// quantile after the fact and merges across replicas — the property the
-// fleet metrics federation is built on.
+// A sketch answers every quantile after the fact and merges across
+// replicas — the property the fleet metrics federation is built on.
 package sketch
 
 import (

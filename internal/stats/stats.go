@@ -1,9 +1,8 @@
 // Package stats implements the statistical machinery behind Bifrost's
 // verdict checks: Welch's two-sample t-test (the `compare` check), Wald's
 // sequential probability ratio test (the `sequential` A/B gate),
-// E-Divisive means change-point detection with permutation significance
-// (the `changepoint` check), and the P² streaming quantile estimator used
-// by windowed quantile queries in the metrics store.
+// and E-Divisive means change-point detection with permutation
+// significance (the `changepoint` check).
 //
 // Everything here is pure math on float64s — no I/O, no clocks — so the
 // dsl and metrics packages can compose it freely and tests can pin exact

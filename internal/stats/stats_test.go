@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -147,64 +145,5 @@ func TestSPRTValidation(t *testing.T) {
 		if _, err := NewSPRT(c[0], c[1], c[2], c[3]); err == nil {
 			t.Errorf("NewSPRT(%v) accepted", c)
 		}
-	}
-}
-
-func TestP2AgainstExactQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		est := NewP2(q)
-		vals := make([]float64, 0, 10000)
-		for i := 0; i < 10000; i++ {
-			x := rng.NormFloat64()*10 + 100
-			est.Add(x)
-			vals = append(vals, x)
-		}
-		sort.Float64s(vals)
-		exact := vals[int(q*float64(len(vals)-1))]
-		got := est.Value()
-		// P² on 10k normal samples should land within a small fraction of
-		// the distribution's scale (σ = 10).
-		if math.Abs(got-exact) > 1.0 {
-			t.Errorf("q=%v: P² = %v, exact = %v", q, got, exact)
-		}
-	}
-}
-
-func TestP2SmallStreams(t *testing.T) {
-	est := NewP2(0.5)
-	if est.Value() != 0 || est.Count() != 0 {
-		t.Error("empty estimator not zero")
-	}
-	for _, v := range []float64{30, 10, 20} {
-		est.Add(v)
-	}
-	if got := est.Value(); got != 20 {
-		t.Errorf("median of {10,20,30} = %v, want exact 20", got)
-	}
-	if est.Count() != 3 {
-		t.Errorf("count = %d", est.Count())
-	}
-}
-
-func TestP2Monotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 2000)
-	for i := range vals {
-		vals[i] = rng.ExpFloat64() * 50
-	}
-	p50, p95 := NewP2(0.5), NewP2(0.95)
-	var min, max float64 = math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		p50.Add(v)
-		p95.Add(v)
-		min = math.Min(min, v)
-		max = math.Max(max, v)
-	}
-	if p50.Value() > p95.Value() {
-		t.Errorf("p50 %v > p95 %v", p50.Value(), p95.Value())
-	}
-	if p95.Value() < min || p95.Value() > max {
-		t.Errorf("p95 %v outside [%v, %v]", p95.Value(), min, max)
 	}
 }
