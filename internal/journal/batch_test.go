@@ -28,7 +28,7 @@ func segmentBytes(t *testing.T, dir string) []byte {
 }
 
 // AppendBatch must be byte-for-byte and replay-for-replay identical to the
-// same records going through N individual Appends: the engine's async
+// same records going through N one-record batches: the engine's journal
 // writer batches opportunistically, so batch boundaries must never be
 // observable in the journal.
 func TestAppendBatchMatchesAppend(t *testing.T) {
@@ -38,7 +38,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 	recs := make([]Record, 0, 20)
 	for i := int64(1); i <= 20; i++ {
 		recs = append(recs, rec(i, "r", "event"))
-		if err := js.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(js, rec(i, "r", "event")); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}

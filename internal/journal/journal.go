@@ -9,7 +9,7 @@
 // hours-long multi-phase live tests survive a control-plane restart instead
 // of being silently aborted.
 //
-// Durability model: Append writes into a buffered writer on the current
+// Durability model: AppendBatch writes into a buffered writer on the current
 // segment and marks the journal dirty; a background flusher hands the
 // buffer to the OS and fsyncs it every FlushInterval (group commit), so a
 // crash — a killed process as much as a power loss — loses at most the
@@ -50,8 +50,9 @@ type Options struct {
 	// size. Default 4 MiB.
 	SegmentBytes int64
 	// FlushInterval is the fsync batching window: appended records are
-	// guaranteed durable at most this long after Append returns. Default
-	// 25ms. Negative fsyncs on every append (tests, paranoid setups).
+	// guaranteed durable at most this long after AppendBatch returns.
+	// Default 25ms. Negative fsyncs on every append (tests, paranoid
+	// setups).
 	FlushInterval time.Duration
 	// CompactBytes is the advisory threshold ShouldCompact uses: once this
 	// many bytes of records accumulated since the last snapshot, the owner
@@ -454,53 +455,14 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// Append writes one record into the journal's write buffer. The OS sees
-// it at the next flush (the FlushInterval flusher, a Sync, or a segment
-// rotation), and it is durable once that flush is fsynced. With a negative
-// FlushInterval it is flushed and fsynced before Append returns.
-func (j *Journal) Append(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	line = append(line, '\n')
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if err := j.checkFenceLocked(); err != nil {
-		return err
-	}
-	if _, err := j.w.Write(line); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if j.active.firstSeq == 0 {
-		j.active.firstSeq = rec.Seq
-	}
-	j.active.lastSeq = rec.Seq
-	j.activeSize += int64(len(line))
-	j.bytesSinceCompact += int64(len(line))
-	j.dirty = true
-	if j.opts.FlushInterval < 0 {
-		if err := j.flushLocked(true); err != nil {
-			return err
-		}
-	}
-	if j.activeSize >= j.opts.SegmentBytes {
-		return j.rotateLocked()
-	}
-	return nil
-}
-
-// AppendBatch writes records under a single lock acquisition and one
-// buffered-writer pass: the per-record JSON encoding happens before the
-// lock is taken, so N queued records cost one fence check and one Write
-// instead of N of each. Ordering and durability semantics match N calls to
-// Append — the batch is buffered on return, durable within FlushInterval
-// (or immediately in write-through mode), and the active segment rotates
-// once the batch pushes it past SegmentBytes.
+// AppendBatch writes records, in order, into the journal's write buffer
+// under one lock acquisition: the JSON encoding happens before the lock is
+// taken, so N records cost one fence check and one buffered Write. The OS
+// sees them at the next flush (the FlushInterval flusher, a Sync, or a
+// segment rotation), and they are durable once that flush is fsynced; with
+// a negative FlushInterval they are flushed and fsynced before AppendBatch
+// returns. The active segment rotates once the batch pushes it past
+// SegmentBytes. Batch boundaries are not observable in the journal.
 func (j *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -560,9 +522,9 @@ func (j *Journal) flushLocked(fsync bool) error {
 	}
 	if j.dirty {
 		// Re-check the fence right before buffered records reach the file:
-		// a writer fenced between Append and flush must not plant records
-		// the new owner's replay never saw. (checkFenceLocked discards the
-		// buffer when it latches.)
+		// a writer fenced between AppendBatch and flush must not plant
+		// records the new owner's replay never saw. (checkFenceLocked
+		// discards the buffer when it latches.)
 		if err := j.checkFenceLocked(); err != nil {
 			return err
 		}

@@ -20,6 +20,9 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 	return j
 }
 
+// appendOne appends r as a one-record batch.
+func appendOne(j *Journal, r Record) error { return j.AppendBatch([]Record{r}) }
+
 func rec(seq int64, run, typ string) Record {
 	return Record{
 		Seq:  seq,
@@ -46,7 +49,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{FlushInterval: -1})
 	for i := int64(1); i <= 10; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -76,7 +79,7 @@ func TestSegmentRotation(t *testing.T) {
 	j := mustOpen(t, dir, Options{SegmentBytes: 256, FlushInterval: -1})
 	defer j.Close()
 	for i := int64(1); i <= 50; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -93,7 +96,7 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{FlushInterval: -1})
 	for i := int64(1); i <= 5; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -120,7 +123,7 @@ func TestTornFinalRecordTolerated(t *testing.T) {
 		t.Fatalf("replayed %d records from torn segment, want 4", len(got))
 	}
 	// The journal stays appendable after the tear, in a fresh segment.
-	if err := j2.Append(rec(6, "r", "event")); err != nil {
+	if err := appendOne(j2, rec(6, "r", "event")); err != nil {
 		t.Fatalf("Append after tear: %v", err)
 	}
 	if got := replayAll(t, j2); len(got) != 5 {
@@ -135,7 +138,7 @@ func TestTruncationFuzz(t *testing.T) {
 	seed := t.TempDir()
 	j := mustOpen(t, seed, Options{FlushInterval: -1})
 	for i := int64(1); i <= 8; i++ {
-		if err := j.Append(rec(i, "fuzz", "event")); err != nil {
+		if err := appendOne(j, rec(i, "fuzz", "event")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +184,7 @@ func TestCompactionDropsCoveredSegments(t *testing.T) {
 	j := mustOpen(t, dir, Options{SegmentBytes: 256, FlushInterval: -1})
 	defer j.Close()
 	for i := int64(1); i <= 40; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +239,7 @@ func TestBoundarySeqMarkersSurviveCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{FlushInterval: -1})
 	for i := int64(1); i <= 5; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +248,7 @@ func TestBoundarySeqMarkersSurviveCompaction(t *testing.T) {
 	}
 	// Quiet period: only boundary-seq heartbeats land.
 	for k := 0; k < 3; k++ {
-		if err := j.Append(rec(5, "", "heartbeat")); err != nil {
+		if err := appendOne(j, rec(5, "", "heartbeat")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +295,7 @@ func TestShouldCompactThreshold(t *testing.T) {
 		t.Fatal("empty journal wants compaction")
 	}
 	for i := int64(1); i <= 10; i++ {
-		if err := j.Append(rec(i, "r", "event")); err != nil {
+		if err := appendOne(j, rec(i, "r", "event")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +313,7 @@ func TestShouldCompactThreshold(t *testing.T) {
 func TestBatchedFlushMakesRecordsDurable(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{FlushInterval: 5 * time.Millisecond})
-	if err := j.Append(rec(1, "r", "event")); err != nil {
+	if err := appendOne(j, rec(1, "r", "event")); err != nil {
 		t.Fatal(err)
 	}
 	// Within the batching window the bytes may still sit in the buffer;
@@ -352,8 +355,8 @@ func TestClosedJournalRejectsOperations(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(rec(1, "r", "event")); err != ErrClosed {
-		t.Fatalf("Append after close = %v, want ErrClosed", err)
+	if err := appendOne(j, rec(1, "r", "event")); err != ErrClosed {
+		t.Fatalf("AppendBatch after close = %v, want ErrClosed", err)
 	}
 	if err := j.Sync(); err != ErrClosed {
 		t.Fatalf("Sync after close = %v, want ErrClosed", err)

@@ -14,7 +14,7 @@ import (
 func TestOpenSetRefusesPrePartitionJournal(t *testing.T) {
 	root := t.TempDir()
 	j := mustOpen(t, root, Options{FlushInterval: -1})
-	if err := j.Append(rec(1, "alpha", "event")); err != nil {
+	if err := appendOne(j, rec(1, "alpha", "event")); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -43,10 +43,10 @@ func TestPartitionTruncationFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 6; i++ {
-		if err := victim.Append(rec(i, "victim", "event")); err != nil {
+		if err := appendOne(victim, rec(i, "victim", "event")); err != nil {
 			t.Fatal(err)
 		}
-		if err := bystander.Append(rec(i, "bystander", "event")); err != nil {
+		if err := appendOne(bystander, rec(i, "bystander", "event")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestPartitionTruncationFuzz(t *testing.T) {
 			t.Fatalf("cut %d: victim replayed %d records from a %d-byte prefix", cut, n, cut)
 		}
 		// The torn partition stays appendable in a fresh segment.
-		if err := v.Append(rec(n+1, "victim", "event")); err != nil {
+		if err := appendOne(v, rec(n+1, "victim", "event")); err != nil {
 			t.Fatalf("cut %d: append after tear: %v", cut, err)
 		}
 		// The sibling partition is whole regardless of where victim tore.

@@ -26,9 +26,18 @@
 // builds a new snapshot off the hot path and swaps it in; in-flight
 // requests finish on the snapshot they started with. Randomized draws use
 // a pool of per-goroutine generators, and sticky assignments live in a
-// sharded, capacity-bounded clock-eviction store (sticky.go), so neither
-// a shared rand.Rand nor an unbounded map serializes or sinks the proxy
-// under heavy traffic.
+// sharded, capacity-bounded clock-eviction store (sticky.go), built only
+// for sticky configs, so neither a shared rand.Rand nor an unbounded map
+// serializes or sinks the proxy under heavy traffic.
+//
+// The relay is cheap per request. The outbound request is assembled from
+// the snapshot's parsed backend URL, with no URL formatting or parsing.
+// It goes out on a transport the proxy owns, cloned from
+// http.DefaultTransport with compression off and an idle pool sized for
+// the shadow workers plus the live path. Response bodies are copied
+// through a pooled buffer: a fixed-length body leaves in one write with
+// no per-request allocation, and a body of unknown length is flushed to
+// the client after each chunk.
 //
 // docs/architecture.md describes how the proxy, the engine, and the
 // metrics provider fit together in a running deployment.
@@ -60,6 +69,22 @@ const CookieName = "bifrost-id"
 // maxShadowQueue bounds the asynchronous shadow-delivery queue; beyond it
 // shadow requests are dropped (and counted), never blocking live traffic.
 const maxShadowQueue = 1024
+
+// shadowWorkers is the number of goroutines delivering shadow requests.
+const shadowWorkers = 8
+
+// idleConnsPerUpstream is how many idle keep-alive connections the owned
+// transport keeps per backend: one per shadow worker plus room for the
+// live path's concurrent requests, so a burst does not close connections
+// that the next burst must dial again. http.DefaultTransport keeps 2.
+const idleConnsPerUpstream = shadowWorkers + 32
+
+// copyBufPool holds the buffers response bodies are relayed through, so
+// relaying allocates no buffer per request.
+var copyBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // maxBodyBytes bounds buffered request bodies. Shadowing requires the body
 // to be replayable, so the proxy reads it fully; e-commerce style requests
@@ -110,10 +135,13 @@ type Shadow struct {
 
 // Proxy is a single-service Bifrost proxy. Create with New, route traffic
 // through ServeHTTP (admin endpoints live under /_bifrost/), and Close when
-// done to drain shadow workers.
+// done to drain shadow workers and close idle upstream connections.
 type Proxy struct {
 	service   string
 	transport http.RoundTripper
+	// owned is the transport New built, closed by Close; nil when
+	// WithTransport supplied one, which its caller owns.
+	owned     *http.Transport
 	registry  *metrics.Registry
 	stickyCap int
 	// latencyObs, when set, receives every upstream latency sample (name,
@@ -162,7 +190,9 @@ func WithRegistry(r *metrics.Registry) Option {
 	return func(p *Proxy) { p.registry = r }
 }
 
-// WithTransport overrides the upstream round tripper (tests).
+// WithTransport replaces the upstream round tripper (tests). By default
+// the proxy owns a transport cloned from http.DefaultTransport; a
+// transport passed here stays its caller's, and Close leaves it open.
 func WithTransport(rt http.RoundTripper) Option {
 	return func(p *Proxy) { p.transport = rt }
 }
@@ -199,7 +229,6 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 	shadowCtx, shadowCancel := context.WithCancel(context.Background())
 	p := &Proxy{
 		service:      service,
-		transport:    http.DefaultTransport,
 		registry:     metrics.NewRegistry(),
 		seedBase:     time.Now().UnixNano(),
 		shadowCh:     make(chan shadowJob, maxShadowQueue),
@@ -209,6 +238,10 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 	}
 	for _, o := range opts {
 		o(p)
+	}
+	if p.transport == nil {
+		p.owned = newUpstreamTransport()
+		p.transport = p.owned
 	}
 	p.rngPool.New = func() any {
 		return rand.New(rand.NewSource(p.seedBase + p.seedSeq.Add(1)*0x9E3779B9))
@@ -220,7 +253,6 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 			return nil, err
 		}
 	}
-	const shadowWorkers = 8
 	for i := 0; i < shadowWorkers; i++ {
 		p.wg.Add(1)
 		go p.shadowWorker()
@@ -228,15 +260,30 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 	return p, nil
 }
 
+// newUpstreamTransport clones http.DefaultTransport for the proxy's own
+// use. Compression is off: the client's Accept-Encoding passes through
+// as sent, and a compressed response is relayed as is, keeping its
+// Content-Length, instead of being decompressed on the client's behalf.
+func newUpstreamTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DisableCompression = true
+	t.MaxIdleConnsPerHost = idleConnsPerUpstream
+	return t
+}
+
 // Close stops the shadow workers promptly: queued shadow jobs are
 // discarded and in-flight shadow requests are cancelled. Shadow responses
 // are discarded by design, so dropping them on shutdown loses nothing.
+// It then closes the owned transport's idle upstream connections.
 // Close is idempotent.
 func (p *Proxy) Close() {
 	p.closeOnce.Do(func() {
 		close(p.closed)
 		p.shadowCancel()
 		p.wg.Wait()
+		if p.owned != nil {
+			p.owned.CloseIdleConnections()
+		}
 	})
 }
 
@@ -284,7 +331,7 @@ func (p *Proxy) Config() Config {
 // triples.
 func (p *Proxy) Mappings() []core.UserMapping {
 	st := p.state.Load()
-	if st == nil {
+	if st == nil || st.sticky == nil {
 		return []core.UserMapping{} // non-nil: /_bifrost/mappings serves []
 	}
 	return st.sticky.mappings()
@@ -415,7 +462,7 @@ func (p *Proxy) scheduleShadows(st *routeState, r *http.Request, body []byte, se
 		if sh.percent < 100 && p.randFloat()*100 >= sh.percent {
 			continue
 		}
-		req := shadowRequest(p.shadowCtx, r, sh.url, body)
+		req := bufferedRequest(p.shadowCtx, r, sh.url, body)
 		select {
 		case p.shadowCh <- shadowJob{req: req, counter: sh.counter}:
 		default:
@@ -496,77 +543,93 @@ func readReplayableBody(r *http.Request) ([]byte, error) {
 // streams through directly. The request inherits the client's context so
 // a disconnect cancels the upstream exchange.
 func upstreamRequest(r *http.Request, target *url.URL, body []byte, buffered bool) *http.Request {
-	var rd io.Reader
-	var length int64
 	if buffered {
-		if len(body) > 0 {
-			rd = bytes.NewReader(body)
-		}
-		length = int64(len(body))
-	} else if r.Body != nil && r.Body != http.NoBody {
-		rd = r.Body
-		length = r.ContentLength
+		return bufferedRequest(r.Context(), r, target, body)
 	}
-	out := buildRequest(r.Context(), r, target, rd)
-	out.ContentLength = length
+	out := buildRequest(r.Context(), r, target)
+	if r.Body != nil && r.Body != http.NoBody {
+		out.Body = r.Body
+		out.ContentLength = r.ContentLength
+	}
 	return out
 }
 
-// shadowRequest builds a dark-launch duplicate carrying the buffered body,
-// bound to the proxy's shadow context (cancelled on Close).
-func shadowRequest(ctx context.Context, r *http.Request, target *url.URL, body []byte) *http.Request {
-	var rd io.Reader
-	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	out := buildRequest(ctx, r, target, rd)
+// bufferedRequest builds a request carrying a buffered body: a
+// dark-launch duplicate bound to the proxy's shadow context (cancelled on
+// Close), or the live request when shadow rules made the proxy buffer it.
+// GetBody lets the transport replay the body when it retries the request
+// on a fresh connection.
+func bufferedRequest(ctx context.Context, r *http.Request, target *url.URL, body []byte) *http.Request {
+	out := buildRequest(ctx, r, target)
 	out.ContentLength = int64(len(body))
+	if len(body) > 0 {
+		out.Body = io.NopCloser(bytes.NewReader(body))
+		out.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+	}
 	return out
 }
 
-// buildRequest assembles an outbound request for target from the inbound
-// one: rewritten URL, end-to-end headers only, X-Forwarded-For appended.
-func buildRequest(ctx context.Context, r *http.Request, target *url.URL, body io.Reader) *http.Request {
-	outURL := *target
-	outURL.Path = singleJoin(target.Path, r.URL.Path)
-	outURL.RawQuery = r.URL.RawQuery
-	out, _ := http.NewRequestWithContext(ctx, r.Method, outURL.String(), body)
-	out.Header = make(http.Header, len(r.Header))
+// buildRequest assembles a bodiless outbound request for target from the
+// inbound one: rewritten URL, end-to-end headers only, X-Forwarded-For
+// appended. It copies the parsed target instead of formatting and parsing
+// a URL string; the request line, Host and headers match what
+// http.NewRequestWithContext gives for the formatted URL.
+func buildRequest(ctx context.Context, r *http.Request, target *url.URL) *http.Request {
+	u := *target
+	u.Path = singleJoin(target.Path, r.URL.Path)
+	u.RawQuery = r.URL.RawQuery
+	out := http.Request{
+		Method:     r.Method,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header, len(r.Header)),
+		Host:       u.Host,
+	}
 	copyEndToEndHeader(out.Header, r.Header)
 	if prior := r.Header.Get("X-Forwarded-For"); prior != "" {
 		out.Header.Set("X-Forwarded-For", prior+", "+remoteIP(r))
 	} else if ip := remoteIP(r); ip != "" {
 		out.Header.Set("X-Forwarded-For", ip)
 	}
-	return out
+	return out.WithContext(ctx)
 }
 
-// copyResponseBody relays the upstream body. Responses of unknown length
-// (chunked — SSE and other incremental streams) are flushed chunk by
-// chunk so data reaches the client as it arrives instead of sitting in
-// the ResponseWriter's buffer; fixed-length responses take the plain copy
-// path.
+// copyResponseBody relays the upstream body through a pooled buffer.
+// The destination hides w's ReadFrom, which would otherwise take over the
+// copy with a fresh buffer of its own and split the body into a sniffed
+// prefix and the rest. A fixed-length body is thus written in one piece
+// per buffer; a body of unknown length (chunked — SSE and other
+// incremental streams) is flushed after each chunk so data reaches the
+// client as it arrives instead of sitting in the ResponseWriter's buffer.
 func copyResponseBody(w http.ResponseWriter, resp *http.Response) {
-	if resp.ContentLength >= 0 {
-		_, _ = io.Copy(w, resp.Body)
-		return
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	dst := relayWriter{w: w}
+	if resp.ContentLength < 0 {
+		dst.rc = http.NewResponseController(w)
 	}
-	rc := http.NewResponseController(w)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			// ErrNotSupported (e.g. a plain recorder) degrades to
-			// buffered copying; anything else ends the relay below.
-			_ = rc.Flush()
-		}
-		if err != nil {
-			return
-		}
+	_, _ = io.CopyBuffer(dst, resp.Body, *bp)
+}
+
+// relayWriter exposes only the Write of the client response, flushing
+// after each write when rc is set.
+type relayWriter struct {
+	w  io.Writer
+	rc *http.ResponseController
+}
+
+func (d relayWriter) Write(b []byte) (int, error) {
+	n, err := d.w.Write(b)
+	if err == nil && d.rc != nil {
+		// ErrNotSupported (e.g. a plain recorder) degrades to buffered
+		// copying; a failed write ends the relay.
+		_ = d.rc.Flush()
 	}
+	return n, err
 }
 
 func remoteIP(r *http.Request) string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"strings"
 
 	"bifrost/internal/core"
 	"bifrost/internal/metrics"
@@ -22,9 +23,10 @@ type routeState struct {
 	selector *core.Selector
 	backends map[string]*backendRef
 	shadows  []shadowRule
-	// sticky is the assignment table M of this state. A new snapshot gets
-	// a fresh table because assignments are scoped to one state of the
-	// release automaton; swapping the snapshot clears them atomically.
+	// sticky is the assignment table M of this state, nil unless the
+	// config is sticky. A new snapshot gets a fresh table because
+	// assignments are scoped to one state of the release automaton;
+	// swapping the snapshot clears them atomically.
 	sticky *stickyStore
 }
 
@@ -116,21 +118,27 @@ func (p *Proxy) buildRouteState(cfg Config) (*routeState, error) {
 	if cfg.Mode == "header" && cfg.Header == "" {
 		return nil, errors.New("proxy: header mode without header name")
 	}
-	return &routeState{
+	st := &routeState{
 		cfg:      cfg,
 		selector: selector,
 		backends: backends,
 		shadows:  shadows,
-		sticky:   newStickyStore(p.stickyCap, stickyShardCount, p.mRequests.stickyEvicted),
-	}, nil
+	}
+	if cfg.Sticky {
+		st.sticky = newStickyStore(p.stickyCap, stickyShardCount, p.mRequests.stickyEvicted)
+	}
+	return st, nil
 }
 
 // parseUpstreamURL parses an upstream base URL, requiring scheme and host.
+// An empty port ("host:") is dropped, as http.NewRequest does, so the
+// Host of every request built from the URL needs no further rewriting.
 func parseUpstreamURL(s string) (*url.URL, error) {
 	u, err := url.Parse(s)
 	if err != nil {
 		return nil, err
 	}
+	u.Host = strings.TrimSuffix(u.Host, ":")
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("url %q: missing scheme or host", s)
 	}

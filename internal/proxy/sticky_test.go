@@ -153,3 +153,45 @@ func TestStickyStoreExactBoundSmallCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestStickyStoreOnlyForStickyConfigs: only a sticky config builds an
+// assignment store, and each sticky config starts with an empty one.
+func TestStickyStoreOnlyForStickyConfigs(t *testing.T) {
+	a := newBackend(t, "A")
+	b := newBackend(t, "B")
+	p, ts := newTestProxy(t, twoBackendConfig(a, b, 50, 50, true))
+	send := func() {
+		resp := get(t, ts.Client(), ts.URL+"/")
+		io.Copy(io.Discard, resp.Body)
+	}
+	send()
+	if n := len(p.Mappings()); n != 1 {
+		t.Fatalf("sticky generation 1: %d mappings, want 1", n)
+	}
+
+	weighted := twoBackendConfig(a, b, 50, 50, false)
+	weighted.Generation = 2
+	if err := p.SetConfig(weighted); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.state.Load(); st.sticky != nil {
+		t.Error("weighted config built a sticky store")
+	}
+	send()
+	if m := p.Mappings(); m == nil || len(m) != 0 {
+		t.Fatalf("weighted generation 2: mappings = %#v, want empty non-nil", m)
+	}
+
+	sticky := twoBackendConfig(a, b, 50, 50, true)
+	sticky.Generation = 3
+	if err := p.SetConfig(sticky); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.Mappings()); n != 0 {
+		t.Fatalf("sticky generation 3 starts with %d mappings, want 0", n)
+	}
+	send()
+	if n := len(p.Mappings()); n != 1 {
+		t.Fatalf("sticky generation 3: %d mappings after one client, want 1", n)
+	}
+}
