@@ -33,11 +33,10 @@
 // The relay is cheap per request. The outbound request is assembled from
 // the snapshot's parsed backend URL, with no URL formatting or parsing.
 // It goes out on a transport the proxy owns, cloned from
-// http.DefaultTransport with compression off and an idle pool sized for
-// the shadow workers plus the live path. Response bodies are copied
+// http.DefaultTransport with compression off. Response bodies are copied
 // through a pooled buffer: a fixed-length body leaves in one write with
-// no per-request allocation, and a body of unknown length is flushed to
-// the client after each chunk.
+// no buffer allocated per request, and a body of unknown length is
+// flushed to the client after each chunk.
 //
 // docs/architecture.md describes how the proxy, the engine, and the
 // metrics provider fit together in a running deployment.
@@ -69,15 +68,6 @@ const CookieName = "bifrost-id"
 // maxShadowQueue bounds the asynchronous shadow-delivery queue; beyond it
 // shadow requests are dropped (and counted), never blocking live traffic.
 const maxShadowQueue = 1024
-
-// shadowWorkers is the number of goroutines delivering shadow requests.
-const shadowWorkers = 8
-
-// idleConnsPerUpstream is how many idle keep-alive connections the owned
-// transport keeps per backend: one per shadow worker plus room for the
-// live path's concurrent requests, so a burst does not close connections
-// that the next burst must dial again. http.DefaultTransport keeps 2.
-const idleConnsPerUpstream = shadowWorkers + 32
 
 // copyBufPool holds the buffers response bodies are relayed through, so
 // relaying allocates no buffer per request.
@@ -253,6 +243,7 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 			return nil, err
 		}
 	}
+	const shadowWorkers = 8
 	for i := 0; i < shadowWorkers; i++ {
 		p.wg.Add(1)
 		go p.shadowWorker()
@@ -267,7 +258,6 @@ func New(service string, cfg Config, opts ...Option) (*Proxy, error) {
 func newUpstreamTransport() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.DisableCompression = true
-	t.MaxIdleConnsPerHost = idleConnsPerUpstream
 	return t
 }
 
