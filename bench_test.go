@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (§5): one benchmark per
 // table and figure, plus ablation benches for the design decisions called
-// out in DESIGN.md. The macro benches run compressed phase plans (seconds
+// out in docs/architecture.md. The macro benches run compressed phase plans (seconds
 // instead of minutes) and report the paper's metrics as custom units:
 //
 //	Table 1 / Figure 6:  proxy overhead in ms (active vs baseline means)
@@ -8,7 +8,7 @@
 //	Figures 9 & 10:      engine CPU % and enactment delay vs N checks
 //
 // Full paper-scale runs (with figure series printed) live in
-// cmd/benchrunner; EXPERIMENTS.md records paper-vs-measured numbers.
+// cmd/benchrunner (-paper for the paper's phase durations).
 package bifrost
 
 import (

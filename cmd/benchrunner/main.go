@@ -10,30 +10,6 @@
 //	benchrunner -experiment fig8                 # same sweep as fig7
 //	benchrunner -experiment fig9 -groups 1,5,10,20
 //	benchrunner -experiment fig10                # same sweep as fig9
-//	benchrunner -experiment bench6 -out BENCH_6.json
-//	                                             # federation micro-bench:
-//	                                             # ingest, sketch merges,
-//	                                             # fleet-window queries
-//	benchrunner -experiment bench7 -out BENCH_7.json
-//	                                             # flag-vs-proxy data-plane
-//	                                             # bench: SDK decisions vs
-//	                                             # the proxy HTTP hop
-//	benchrunner -experiment bench9 -out BENCH_9.json
-//	                                             # event-pipeline macro-bench:
-//	                                             # publish→mirror→journal→SSE
-//	                                             # events/s, proxy p99 under
-//	                                             # live reconfig, ingest rate
-//	benchrunner -experiment bench10 -out BENCH_10.json
-//	                                             # hierarchical-rollout bench:
-//	                                             # sequential vs parallel vs
-//	                                             # quorum region wall-time,
-//	                                             # blast radius, pipeline rerun
-//	benchrunner -compare old.json new.json       # per-metric deltas between
-//	                                             # two committed BENCH files
-//	benchrunner -compare -tolerance 0.2 old.json new.json
-//	                                             # same, but exit non-zero when
-//	                                             # a known-direction metric
-//	                                             # regresses by more than 20%
 //	benchrunner -paper                           # paper-scale durations
 //	benchrunner -singlecore                      # GOMAXPROCS=1, like the
 //	                                             # paper's n1-standard-1 VMs
@@ -41,8 +17,9 @@
 // Absolute numbers differ from the paper (loopback HTTP servers instead of
 // a 12-VM Docker Swarm); the shapes — constant small proxy overhead, dark
 // launch amplification, A/B load-splitting, sub-linear engine CPU growth,
-// delay inflection past saturation — are the reproduction target. See
-// EXPERIMENTS.md for paper-vs-measured values.
+// delay inflection past saturation — are the reproduction target. The
+// paper's parameters are quoted beside each configuration field in
+// internal/experiments.
 package main
 
 import (
@@ -66,28 +43,13 @@ func main() {
 }
 
 func run() error {
-	experiment := flag.String("experiment", "all", "all|table1|fig6|fig7|fig8|fig9|fig10|bench6|bench7|bench9|bench10")
-	compare := flag.Bool("compare", false,
-		"compare two bench JSON files (benchrunner -compare old.json new.json)")
-	tolerance := flag.Float64("tolerance", 0,
-		"with -compare: fail (exit non-zero) when a known-direction metric regresses by more than this fraction (0 disables gating)")
+	experiment := flag.String("experiment", "all", "all|table1|fig6|fig7|fig8|fig9|fig10")
 	paper := flag.Bool("paper", false, "use the paper's full phase durations (slow)")
 	singleCore := flag.Bool("singlecore", false, "run with GOMAXPROCS=1 to mimic the paper's single-core VMs")
 	counts := flag.String("counts", "1,5,10,20", "parallel-strategy sweep counts (fig7/fig8)")
 	groups := flag.String("groups", "1,5,10", "check-group sweep counts n; 8·n checks (fig9/fig10)")
 	rps := flag.Float64("rps", 35, "load-test request rate (fig6/table1)")
-	out := flag.String("out", "", "write bench6/bench7 JSON to this file instead of stdout")
-	benchScale := flag.Float64("bench-scale", 1,
-		"scale factor for bench6/bench7 workload sizes (CI smoke uses e.g. 0.01)")
 	flag.Parse()
-
-	if *compare {
-		args := flag.Args()
-		if len(args) != 2 {
-			return fmt.Errorf("-compare needs exactly two files: benchrunner -compare old.json new.json")
-		}
-		return compareBench(os.Stdout, args[0], args[1], *tolerance)
-	}
 
 	if *singleCore {
 		prev := runtime.GOMAXPROCS(1)
@@ -139,126 +101,6 @@ func run() error {
 			"Figures 9 & 10: engine CPU utilization and enactment delay vs parallel checks",
 			"checks", points)
 		return nil
-
-	case "bench6":
-		scale := func(n int) int {
-			if v := int(float64(n) * *benchScale); v > 0 {
-				return v
-			}
-			return 1
-		}
-		res, err := experiments.RunFederationBench(experiments.FederationBenchConfig{
-			IngestSamples: scale(1_000_000),
-			MergeSketches: scale(2_000),
-			SketchSamples: scale(5_000),
-			Replicas:      8,
-			WindowBuckets: scale(120),
-			Queries:       scale(500),
-		})
-		if err != nil {
-			return err
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return res.WriteJSON(w)
-
-	case "bench7":
-		scale := func(n int) int {
-			if v := int(float64(n) * *benchScale); v > 0 {
-				return v
-			}
-			return 1
-		}
-		res, err := experiments.RunFlagBench(experiments.FlagBenchConfig{
-			Decisions: scale(2_000_000),
-			Requests:  scale(5_000),
-		})
-		if err != nil {
-			return err
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return res.WriteJSON(w)
-
-	case "bench10":
-		scale := func(n int) int {
-			if v := int(float64(n) * *benchScale); v > 0 {
-				return v
-			}
-			return 1
-		}
-		res, err := experiments.RunBench10(experiments.Bench10Config{
-			// Region count and gate cadence stay fixed across scales (the
-			// scenario shape is the point); only the per-region schedule
-			// length and the pipeline volume shrink for CI smoke.
-			Executions:     scale(20),
-			PipelineEvents: scale(50_000),
-		})
-		if err != nil {
-			return err
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return res.WriteJSON(w)
-
-	case "bench9":
-		scale := func(n int) int {
-			if v := int(float64(n) * *benchScale); v > 0 {
-				return v
-			}
-			return 1
-		}
-		// The proxy load test needs a floor: at 1% scale an 8s run would
-		// shrink below the loadgen's dispatch tick.
-		dur := time.Duration(float64(8*time.Second) * *benchScale)
-		if dur < 500*time.Millisecond {
-			dur = 500 * time.Millisecond
-		}
-		rps := 300 * *benchScale
-		if rps < 50 {
-			rps = 50
-		}
-		res, err := experiments.RunBench9(experiments.Bench9Config{
-			Events:        scale(50_000),
-			Subscribers:   64,
-			ProxyRPS:      rps,
-			ProxyDuration: dur,
-			IngestSamples: scale(1_000_000),
-		})
-		if err != nil {
-			return err
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return res.WriteJSON(w)
 
 	case "all":
 		start := time.Now()

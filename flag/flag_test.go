@@ -172,3 +172,25 @@ func TestRefreshSurfacesProblems(t *testing.T) {
 		t.Errorf("failed refresh clobbered the snapshot: generation = %d", c.Generation())
 	}
 }
+
+// BenchmarkClientDecide measures the SDK's in-process routing decision:
+// a sticky 90/10 ruleset evaluated for 4,096 distinct users, the same
+// hashing the proxy uses for cohort assignment. It is the figure a
+// flag-evaluated service pays per request instead of a proxy hop.
+func BenchmarkClientDecide(b *testing.B) {
+	c := &Client{Service: "search"}
+	if err := c.Load(testRuleset(1)); err != nil {
+		b.Fatal(err)
+	}
+	users := make([]string, 4096)
+	for i := range users {
+		users[i] = fmt.Sprintf("user-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Decide(users[i&(len(users)-1)]); !ok {
+			b.Fatal("no decision")
+		}
+	}
+}

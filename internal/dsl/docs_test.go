@@ -123,7 +123,7 @@ func TestDocsLinkTargetsExist(t *testing.T) {
 		// The HA runbook is load-bearing for operators rolling a fleet;
 		// README must deep-link its section, not just the file. The same
 		// goes for the event-pipeline internals and the benchmarking
-		// runbook behind the committed BENCH_*.json artifacts.
+		// runbook for the bench/ ledger.
 		"docs/operations.md#running-multiple-engine-replicas",
 		"docs/architecture.md#the-event-pipeline",
 		"docs/operations.md#benchmarking-and-the-perf-trajectory",

@@ -22,7 +22,8 @@ func publishAndDrain(t *testing.T, subs, iters int) float64 {
 	chans := make([]<-chan *frame, subs)
 	cancels := make([]func(), subs)
 	for i := range chans {
-		chans[i], cancels[i] = e.bus.subscribeFrames(4)
+		sub, cancel := e.bus.subscribeFrames(4)
+		chans[i], cancels[i] = sub.ch, cancel
 	}
 	defer func() {
 		for _, c := range cancels {

@@ -432,14 +432,15 @@ func lastEventID(r *http.Request) int64 {
 // loss-free end to end: a reconnect with Last-Event-ID resumes from the
 // durable history (which survives engine restarts), and gaps introduced by
 // the bus dropping on a slow subscriber channel are backfilled from the
-// replay ring before newer events are sent. When part of a gap is beyond
-// retention, an events_dropped marker makes the loss explicit instead of
-// silent.
+// replay ring before newer events are sent, or as soon as the stream drains
+// its channel when no newer event follows (the tail of a burst). When part
+// of a gap is beyond retention, an events_dropped marker makes the loss
+// explicit instead of silent.
 func (e *Engine) ServeEventStream(w http.ResponseWriter, r *http.Request, strategy string, replay int) {
 	// Subscribe on the frame channel: live deliveries arrive as pooled
 	// encode-once frames, so every stream shares the same marshaled bytes
 	// (SendRaw) instead of re-encoding per subscriber.
-	frames, cancel := e.bus.subscribeFrames(256)
+	sub, cancel := e.bus.subscribeFrames(256)
 	defer cancel()
 	// Sequence at subscription: every event fanned to this channel is
 	// newer, so any later jump past subSeq+1 in received seqs is a drop.
@@ -537,8 +538,19 @@ func (e *Engine) ServeEventStream(w http.ResponseWriter, r *http.Request, strate
 	// history replay (before the first channel receive) are detected too.
 	lastRecv := subSeq
 	for {
+		// A drained channel with the drop mark set means the bus dropped
+		// frames that no later delivery may reveal, such as the tail of a
+		// burst: backfill them from history now. Reading the per-stream
+		// mark keeps the bus lock off this path.
+		if len(sub.ch) == 0 && sub.dropped.Load() {
+			sub.dropped.Store(false)
+			var ok bool
+			if lastSeq, ok = sendSince(lastSeq); !ok {
+				return
+			}
+		}
 		select {
-		case f, open := <-frames:
+		case f, open := <-sub.ch:
 			if !open {
 				return
 			}

@@ -340,6 +340,145 @@ func TestSSEStreamBackfillsSlowSubscriberDrops(t *testing.T) {
 	}
 }
 
+// stallWriter is a streaming ResponseWriter whose writes block until
+// resume is closed, like a client that stops reading; stalled is closed
+// when the first write blocks.
+type stallWriter struct {
+	header  http.Header
+	resume  chan struct{}
+	stalled chan struct{}
+	once    sync.Once
+
+	mu   sync.Mutex
+	body strings.Builder
+}
+
+func newStallWriter() *stallWriter {
+	return &stallWriter{header: http.Header{},
+		resume: make(chan struct{}), stalled: make(chan struct{})}
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	select {
+	case <-w.resume:
+	default:
+		w.once.Do(func() { close(w.stalled) })
+		<-w.resume
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(p)
+}
+
+// seqs parses the stream written so far into its event sequence numbers.
+func (w *stallWriter) seqs(t *testing.T) []int64 {
+	t.Helper()
+	w.mu.Lock()
+	body := w.body.String()
+	w.mu.Unlock()
+	// A frame may be half written: parse only the complete ones.
+	if end := strings.LastIndex(body, "\n\n"); end >= 0 {
+		body = body[:end+2]
+	} else {
+		body = ""
+	}
+	var out []int64
+	_ = httpx.ReadSSE(strings.NewReader(body), func(se httpx.SSEEvent) error {
+		var ev Event
+		if err := json.Unmarshal(se.Data, &ev); err != nil {
+			t.Fatalf("undecodable frame %q: %v", se.Data, err)
+		}
+		if ev.Type == EventEventsDropped {
+			t.Fatalf("unexpected drop marker: %s", ev.Detail)
+		}
+		out = append(out, ev.Seq)
+		return nil
+	})
+	return out
+}
+
+// TestSSEStalledStreamReceivesBurstTail stalls a stream's writer while a
+// burst far larger than its subscriber channel (256) is published, then
+// lets it write again and publishes nothing more. The frames the bus
+// dropped are the burst's tail, and no later event reveals the gap: the
+// stream must still deliver every event, in order, once it drains its
+// channel. With ?strategy= half of the burst belongs to another run and
+// is filtered out.
+func TestSSEStalledStreamReceivesBurstTail(t *testing.T) {
+	const burst = 600
+	for _, tc := range []struct{ name, strategy string }{
+		{"all", ""},
+		{"strategy", "burst"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New()
+			defer eng.Shutdown()
+			publish := func(run string) {
+				eng.PublishBench(Event{Strategy: run, Type: EventCheckExecuted,
+					State: "canary", Time: time.Now()})
+			}
+			w := newStallWriter()
+			ctx, cancel := context.WithCancel(context.Background())
+			req := httptest.NewRequest(http.MethodGet, "/api/v2/events/stream", nil).WithContext(ctx)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				eng.ServeEventStream(w, req, tc.strategy, 0)
+			}()
+			defer func() {
+				cancel()
+				<-done
+			}()
+
+			// Once the stream has subscribed, the first event's write
+			// blocks it; the burst then fills its channel and the bus
+			// drops the rest.
+			for subscribed := false; !subscribed; time.Sleep(time.Millisecond) {
+				eng.bus.mu.Lock()
+				subscribed = len(eng.bus.frameSubs) == 1
+				eng.bus.mu.Unlock()
+			}
+			publish("burst")
+			<-w.stalled
+			for i := 0; i < burst; i++ {
+				run := "burst"
+				if tc.strategy != "" && i%2 == 1 {
+					run = "other"
+				}
+				publish(run)
+			}
+			var want []int64
+			for _, ev := range eng.RecentEvents(0) {
+				if tc.strategy == "" || ev.Strategy == tc.strategy {
+					want = append(want, ev.Seq)
+				}
+			}
+			close(w.resume)
+
+			var got []int64
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				if got = w.seqs(t); len(got) >= len(want) {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("stream delivered %d of %d events; the burst's tail was held back", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("event %d: seq %d, want %d", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // publishOnFlushWriter is a streaming ResponseWriter whose first Flush —
 // the one that sends the stream's headers, which is when a client's Watch
 // returns — runs onFirstFlush, so an event lands exactly in the window

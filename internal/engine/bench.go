@@ -3,7 +3,7 @@ package engine
 // PublishBench pushes one caller-constructed event through the full publish
 // pipeline — sequence stamping, mirror reduction, journal append, and SSE
 // fan-out — exactly the way run-loop events travel it. It exists for the
-// macro-benchmark harness (benchrunner -experiment bench9), which measures
+// benchmark's `events` workload (bench/bifrost/events.go), which measures
 // the pipeline's throughput without enacting strategies; production code
 // paths never call it.
 func (e *Engine) PublishBench(ev Event) {

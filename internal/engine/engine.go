@@ -503,6 +503,16 @@ func (e *Engine) compact() {
 		e.pubMu.Unlock()
 		return
 	}
+	e.mCompactions.Add(float64(e.snapshotAndUnlock(js, (*journal.Journal).ShouldCompact)))
+}
+
+// snapshotAndUnlock is entered with pubMu held and releases it. Under the
+// lock it clones the mirror of each run whose partition in js passes keep
+// (nil keeps every one); outside it, it marshals each clone and compacts
+// the partition up to the current sequence, so JSON-encoding the mirrors
+// never stalls the publish pipeline. It returns how many partitions were
+// compacted.
+func (e *Engine) snapshotAndUnlock(js *journal.Set, keep func(*journal.Journal) bool) int {
 	e.mirror.Generation = e.generation.Load()
 	seq := e.bus.currentSeq()
 	type item struct {
@@ -510,10 +520,8 @@ func (e *Engine) compact() {
 		mirror *engineMirror
 	}
 	var items []item
-	// Clone under the lock, marshal outside it: JSON-encoding the mirrors
-	// must not stall the publish pipeline.
 	js.Each(func(run string, j *journal.Journal) {
-		if !j.ShouldCompact() {
+		if keep != nil && !keep(j) {
 			return
 		}
 		if m := e.mirror.cloneRun(run); m != nil {
@@ -521,15 +529,16 @@ func (e *Engine) compact() {
 		}
 	})
 	e.pubMu.Unlock()
+	if seq == 0 {
+		return 0
+	}
+	compacted := 0
 	for _, it := range items {
-		snap, err := json.Marshal(it.mirror)
-		if err != nil {
-			continue
-		}
-		if it.j.Compact(snap, seq) == nil {
-			e.mCompactions.Inc()
+		if snap, err := json.Marshal(it.mirror); err == nil && it.j.Compact(snap, seq) == nil {
+			compacted++
 		}
 	}
+	return compacted
 }
 
 // Run returns the run for a strategy name.
@@ -750,26 +759,7 @@ func (e *Engine) closeJournal() {
 	// keeps publishers from enqueueing in between.
 	e.jw.stopAndDrain()
 	e.journals = nil
-	e.mirror.Generation = e.generation.Load()
-	seq := e.bus.currentSeq()
-	type item struct {
-		j      *journal.Journal
-		mirror *engineMirror
-	}
-	var items []item
-	js.Each(func(run string, j *journal.Journal) {
-		if m := e.mirror.cloneRun(run); m != nil {
-			items = append(items, item{j, m})
-		}
-	})
-	e.pubMu.Unlock()
-	if seq > 0 {
-		for _, it := range items {
-			if snap, err := json.Marshal(it.mirror); err == nil {
-				_ = it.j.Compact(snap, seq)
-			}
-		}
-	}
+	e.snapshotAndUnlock(js, nil)
 	_ = js.Close()
 }
 

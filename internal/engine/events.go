@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bifrost/internal/core"
@@ -135,16 +136,24 @@ type eventBus struct {
 	// frameSubs receive the pooled encode-once frames instead of Event
 	// copies: the SSE fan-out path subscribes here so each delivery is one
 	// pointer send and the pre-encoded bytes are shared by every stream.
-	frameSubs map[int]chan *frame
+	frameSubs map[int]*frameSub
 	subSeq    int
 	closed    bool
+}
+
+// frameSub is one encode-once subscriber. The bus sets dropped when it
+// drops a frame because ch is full, so a subscriber that drains ch can
+// tell a lost tail from a quiet bus without reading the bus's sequence.
+type frameSub struct {
+	ch      chan *frame
+	dropped atomic.Bool
 }
 
 func newEventBus(ringSize int) *eventBus {
 	return &eventBus{
 		ring:      make([]Event, ringSize),
 		subs:      make(map[int]chan Event),
-		frameSubs: make(map[int]chan *frame),
+		frameSubs: make(map[int]*frameSub),
 	}
 }
 
@@ -188,14 +197,16 @@ func (b *eventBus) fanout(f *frame) {
 		default: // slow subscriber: drop; ServeEventStream backfills from the ring
 		}
 	}
-	for _, ch := range b.frameSubs {
+	for _, sub := range b.frameSubs {
 		f.retain()
 		select {
-		case ch <- f:
+		case sub.ch <- f:
 		default:
-			// Slow subscriber: drop the delivery (and its reference);
-			// ServeEventStream backfills the gap from retained history.
+			// Slow subscriber: drop the delivery (and its reference) and
+			// mark it; ServeEventStream backfills the gap from retained
+			// history, which already holds f.
 			f.release()
+			sub.dropped.Store(true)
 		}
 	}
 	b.mu.Unlock()
@@ -292,21 +303,21 @@ func (b *eventBus) subscribe(buffer int) (<-chan Event, func()) {
 }
 
 // subscribeFrames is subscribe for the encode-once frame path. Receivers
-// must release every frame they take from the channel.
-func (b *eventBus) subscribeFrames(buffer int) (<-chan *frame, func()) {
+// must release every frame they take from the subscriber's channel.
+func (b *eventBus) subscribeFrames(buffer int) (*frameSub, func()) {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	ch := make(chan *frame, buffer)
+	sub := &frameSub{ch: make(chan *frame, buffer)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		close(ch)
-		return ch, func() {}
+		close(sub.ch)
+		return sub, func() {}
 	}
 	id := b.subSeq
 	b.subSeq++
-	b.frameSubs[id] = ch
+	b.frameSubs[id] = sub
 	b.mu.Unlock()
 
 	var once sync.Once
@@ -315,12 +326,12 @@ func (b *eventBus) subscribeFrames(buffer int) (<-chan *frame, func()) {
 			b.mu.Lock()
 			if _, ok := b.frameSubs[id]; ok {
 				delete(b.frameSubs, id)
-				close(ch)
+				close(sub.ch)
 			}
 			b.mu.Unlock()
 		})
 	}
-	return ch, cancel
+	return sub, cancel
 }
 
 func (b *eventBus) recent(n int) []Event {
@@ -355,8 +366,8 @@ func (b *eventBus) close() {
 		delete(b.subs, id)
 		close(ch)
 	}
-	for id, ch := range b.frameSubs {
+	for id, sub := range b.frameSubs {
 		delete(b.frameSubs, id)
-		close(ch)
+		close(sub.ch)
 	}
 }

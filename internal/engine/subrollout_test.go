@@ -141,6 +141,35 @@ func TestSubRolloutQuorumPromotes(t *testing.T) {
 	if terminal < 2 {
 		t.Errorf("child_terminal events = %d, want >= 2", terminal)
 	}
+
+	// Quorum does not wait for a straggler: with one passing region far
+	// slower than the other two, the parent promotes by quorum while that
+	// region still runs, and the region is left to finish on its own.
+	fastA := subChild("strag-eu", core.ConstEvaluator(true), time.Millisecond, 3)
+	fastB := subChild("strag-us", core.ConstEvaluator(true), time.Millisecond, 3)
+	slow := subChild("strag-ap", core.ConstEvaluator(true), 100*time.Millisecond, 300)
+	stragParent := subParent("strag", &core.SubRollout{
+		Children: []core.ChildRef{childRef(fastA, "eu"), childRef(fastB, "us"), childRef(slow, "ap")},
+		Quorum:   2,
+	})
+	stragRun, err := eng.Enact(stragParent)
+	if err != nil {
+		t.Fatalf("Enact straggler parent: %v", err)
+	}
+	st = waitDone(t, stragRun)
+	last = st.Path[len(st.Path)-1]
+	if st.State != RunCompleted || last.To != "done" || last.Cause != "quorum" {
+		t.Fatalf("straggler parent = %s, final transition %+v, want completed regions→done cause quorum",
+			st.State, last)
+	}
+	slowRun, ok := eng.Run("strag-ap")
+	if !ok {
+		t.Fatal("straggler child not registered")
+	}
+	if s := slowRun.Status(); s.State != RunRunning {
+		t.Fatalf("straggler = %s, want still running after the quorum promotion", s.State)
+	}
+	slowRun.Abort()
 }
 
 func TestSubRolloutQuorumUnreachableFailsEarly(t *testing.T) {

@@ -7,7 +7,7 @@
 // runs here as separate HTTP servers on loopback: the seven case-study
 // services, the two Bifrost proxies, the metrics provider, the engine, and
 // the load generator. The network hops are real sockets; only the machines
-// are collapsed onto one host (see DESIGN.md for the substitution table).
+// are collapsed onto one host.
 package experiments
 
 import (

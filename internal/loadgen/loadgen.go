@@ -119,12 +119,6 @@ type Sample struct {
 type Result struct {
 	Start   time.Time
 	Samples []Sample
-	// CorrectedHist and ServiceHist are HdrHistogram-style aggregates of
-	// every sample's Corrected and Latency values, recorded lock-free as
-	// requests complete. CorrectedHist is the one to quote for tail
-	// latency under load.
-	CorrectedHist *Hist
-	ServiceHist   *Hist
 }
 
 // Stats summarizes latencies in milliseconds, Table-1 style.
@@ -178,7 +172,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Start: time.Now(), CorrectedHist: &Hist{}, ServiceHist: &Hist{}}
+	res := &Result{Start: time.Now()}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cfg.MaxInFlight)
@@ -233,8 +227,6 @@ loop:
 					s := issueRequest(ctx, cfg.BaseURL, u, kind, productID, term, res.Start)
 					s.Sched = intended.Sub(res.Start)
 					s.Corrected = time.Since(intended)
-					res.CorrectedHist.Record(s.Corrected)
-					res.ServiceHist.Record(s.Latency)
 					mu.Lock()
 					res.Samples = append(res.Samples, s)
 					mu.Unlock()

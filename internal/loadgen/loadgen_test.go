@@ -229,3 +229,66 @@ func TestRequestKindString(t *testing.T) {
 		t.Error("unknown kind empty")
 	}
 }
+
+// TestCoordinatedOmissionCorrection injects a 500ms server stall behind a
+// 1-slot in-flight cap: the requests the schedule wanted to issue during
+// the stall are delayed, so their *service* latencies look healthy, but the
+// corrected latencies (measured from each request's intended start) must
+// surface the stall in the tail. A generator that blocks its dispatcher on
+// the cap — the pre-fix behavior — hides the stall entirely.
+func TestCoordinatedOmissionCorrection(t *testing.T) {
+	var stalled atomic.Bool
+	var reqs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /auth/login", func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"token": "tok"})
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		// Exactly one request pays the stall directly; everything queued
+		// behind it pays in waiting time only.
+		if n := reqs.Add(1); n == 20 && stalled.CompareAndSwap(false, true) {
+			time.Sleep(500 * time.Millisecond)
+		}
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"ok": "1"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	res, err := Run(context.Background(), Config{
+		BaseURL:     ts.URL,
+		RPS:         200,
+		Duration:    1200 * time.Millisecond,
+		Users:       4,
+		Seed:        7,
+		MaxInFlight: 1,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !stalled.Load() {
+		t.Fatal("stall was never triggered")
+	}
+	service := StatsOf(res.Samples)
+	corrected := CorrectedStatsOf(res.Samples)
+
+	// ~100 of ~240 scheduled requests queue behind the stall: far more
+	// than 1% of samples, so the corrected p99 must show hundreds of ms.
+	if corrected.P99 < 200 {
+		t.Errorf("corrected p99 = %.1fms, want ≥ 200ms (stall hidden)", corrected.P99)
+	}
+	// Exactly one sample has a ~500ms service time — below 1% of the
+	// population, so the uncorrected p99 stays oblivious.
+	if service.P99 > 150 {
+		t.Errorf("service p99 = %.1fms, want < 150ms (only one request pays the stall directly)", service.P99)
+	}
+	if corrected.P99 < 2*service.P99 {
+		t.Errorf("corrected p99 %.1fms not > 2× service p99 %.1fms", corrected.P99, service.P99)
+	}
+	// Corrected ≥ service for every sample, and Sched is monotone-ish
+	// with Offset (requests start at or after their intended time).
+	for _, s := range res.Samples {
+		if s.Corrected < s.Latency {
+			t.Fatalf("sample corrected %v < service %v", s.Corrected, s.Latency)
+		}
+	}
+}
