@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"bifrost/internal/engine"
+	"bifrost/internal/httpx"
 	"bifrost/internal/lease"
 )
 
@@ -371,7 +372,7 @@ func (r *Replica) TryLocalRuns() ([]engine.Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	var out []engine.Status
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err

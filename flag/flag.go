@@ -113,7 +113,7 @@ func (c *Client) Refresh(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("flag: poll %q: %w", c.Service, err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		var p httpx.Problem
 		if err := httpx.ReadJSONBody(resp.Body, &p); err == nil && p.Status != 0 {

@@ -127,7 +127,8 @@ func TestDocsLinkTargetsExist(t *testing.T) {
 		"docs/operations.md#running-multiple-engine-replicas",
 		"docs/architecture.md#the-event-pipeline",
 		"docs/operations.md#benchmarking-and-the-perf-trajectory",
-		"docs/architecture.md#hierarchical-rollouts"} {
+		"docs/architecture.md#hierarchical-rollouts",
+		"docs/architecture.md#internal-hops-keep-their-connections"} {
 		if !strings.Contains(string(readme), link) {
 			t.Errorf("README does not link %s", link)
 		}
@@ -135,7 +136,8 @@ func TestDocsLinkTargetsExist(t *testing.T) {
 	// Deep-linked anchors must resolve to a real heading in their target
 	// file (GitHub's anchor: lowercase, spaces to dashes).
 	for file, headings := range map[string][]string{
-		"architecture.md": {"## The event pipeline", "## Hierarchical rollouts"},
+		"architecture.md": {"## The event pipeline", "## Hierarchical rollouts",
+			"## Internal hops keep their connections"},
 		"operations.md": {
 			"## Running multiple engine replicas",
 			"## Benchmarking and the perf trajectory",

