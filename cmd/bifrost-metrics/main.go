@@ -6,6 +6,14 @@
 // replica/incarnation/sequence so retries never double-count), and
 // optionally by scraping exposition endpoints.
 //
+// /api/v1/query answers two forms. GET ?query=EXPR evaluates one
+// expression, for operators. POST with a JSON array of expressions
+// evaluates a batch at one store instant and answers
+// {"status":"success","data":[{"value":N} | {"error":"…"}, …]} in request
+// order; an expression that fails fails only its own entry. The engine's
+// checks use the batch form: the checks of a strategy that come due
+// together share one request.
+//
 // Usage:
 //
 //	bifrost-metrics -listen 127.0.0.1:9090

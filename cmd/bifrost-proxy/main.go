@@ -95,7 +95,7 @@ func run() error {
 		// proxy's counters (requests, errors) each flush, while raw latency
 		// samples flow into its sketches through the observer hook.
 		reg := metrics.NewRegistry()
-		sink := federation.HTTPSink{Client: metrics.Client{BaseURL: *federate}}
+		sink := federation.HTTPSink{Client: &metrics.Client{BaseURL: *federate}}
 		agent = federation.New(name, sink,
 			federation.WithShipInterval(*shipInterval),
 			federation.WithRegistry(reg))

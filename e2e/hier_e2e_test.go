@@ -12,6 +12,7 @@ package e2e
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -99,14 +100,23 @@ func TestHierParentKillQuorumSurvives(t *testing.T) {
 		t.Skip("multi-process e2e; skipped in -short")
 	}
 
-	// Metrics stub speaking the provider protocol: the ap region reports a
-	// hard failure signal, every other region is clean.
+	// Metrics stub speaking the provider's batch protocol: the ap region
+	// reports a hard failure signal, every other region is clean.
 	provider := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		v := 0
-		if strings.Contains(r.URL.Query().Get("query"), `region="ap"`) {
-			v = 100
+		var exprs []string
+		if err := json.NewDecoder(r.Body).Decode(&exprs); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		fmt.Fprintf(w, `{"status":"success","data":{"value":%d}}`, v)
+		results := make([]string, len(exprs))
+		for i, expr := range exprs {
+			v := 0
+			if strings.Contains(expr, `region="ap"`) {
+				v = 100
+			}
+			results[i] = fmt.Sprintf(`{"value":%d}`, v)
+		}
+		fmt.Fprintf(w, `{"status":"success","data":[%s]}`, strings.Join(results, ","))
 	}))
 	defer provider.Close()
 

@@ -428,14 +428,15 @@ func lastEventID(r *http.Request) int64 {
 // streams everything). Shared by the API's /api/v2/events/stream endpoint
 // and the dashboard's /dashboard/events alias.
 //
-// Every event carries its sequence number as the SSE id, and the stream is
-// loss-free end to end: a reconnect with Last-Event-ID resumes from the
-// durable history (which survives engine restarts), and gaps introduced by
-// the bus dropping on a slow subscriber channel are backfilled from the
-// replay ring before newer events are sent, or as soon as the stream drains
-// its channel when no newer event follows (the tail of a burst). When part
-// of a gap is beyond retention, an events_dropped marker makes the loss
-// explicit instead of silent.
+// Every event carries its sequence number as the SSE id. A reconnect with
+// Last-Event-ID resumes from the durable history (which survives engine
+// restarts), and gaps introduced by the bus dropping on a slow subscriber
+// channel are backfilled from the replay ring before newer events are
+// sent, or as soon as the stream drains its channel when no newer event
+// follows (the tail of a burst). Delivery is not loss-free: only a gap
+// within retention is backfilled. The part of a gap beyond it, such as
+// most of a burst larger than the 1,024-event ring, is lost, and an
+// events_dropped marker makes that loss explicit instead of silent.
 func (e *Engine) ServeEventStream(w http.ResponseWriter, r *http.Request, strategy string, replay int) {
 	// Subscribe on the frame channel: live deliveries arrive as pooled
 	// encode-once frames, so every stream shares the same marshaled bytes

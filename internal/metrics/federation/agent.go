@@ -41,7 +41,7 @@ type DeltaSink interface {
 
 // HTTPSink ships batches to a metrics server's /api/v1/federate endpoint.
 type HTTPSink struct {
-	Client metrics.Client
+	Client *metrics.Client
 }
 
 // ShipDelta implements DeltaSink. A duplicate acknowledgement (applied =

@@ -219,7 +219,7 @@ func TestFleetE2E(t *testing.T) {
 	store := metrics.NewStore()
 	srv := httptest.NewServer(metrics.NewServer(store).Handler())
 	defer srv.Close()
-	sink := HTTPSink{Client: metrics.Client{BaseURL: srv.URL}}
+	sink := HTTPSink{Client: &metrics.Client{BaseURL: srv.URL}}
 
 	rng := rand.New(rand.NewSource(21))
 	labels := metrics.Labels{"service": "search"}

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"sync"
@@ -15,6 +17,12 @@ import (
 // Server exposes a Store over HTTP with a Prometheus-shaped API:
 //
 //	GET  /api/v1/query?query=EXPR     → {"status":"success","data":{"value":N}}
+//	POST /api/v1/query                → a batch: the body is a JSON array of
+//	                                    expressions, evaluated at one store
+//	                                    instant; the answer holds one entry
+//	                                    per expression, in request order:
+//	                                    {"status":"success","data":
+//	                                    [{"value":N} | {"error":"…"}, …]}
 //	GET  /api/v1/moments?query=SEL    → window moments of a range selector
 //	                                    (count/mean/variance/min/max), the
 //	                                    populations of a `compare` check
@@ -39,6 +47,20 @@ type queryData struct {
 	Value float64 `json:"value"`
 }
 
+// batchResponse is the JSON envelope of a batch POST to /api/v1/query.
+type batchResponse struct {
+	Status string        `json:"status"`
+	Data   []batchResult `json:"data"`
+	Error  string        `json:"error,omitempty"`
+}
+
+// batchResult is one expression's entry in a batch: its value, or the
+// error that evaluating it returned.
+type batchResult struct {
+	Value *float64 `json:"value,omitempty"`
+	Error string   `json:"error,omitempty"`
+}
+
 // momentsResponse is the JSON envelope of /api/v1/moments.
 type momentsResponse struct {
 	Status string  `json:"status"`
@@ -59,6 +81,7 @@ type IngestSample struct {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/query", s.handleQuery)
+	mux.HandleFunc("POST /api/v1/query", s.handleQueryBatch)
 	mux.HandleFunc("GET /api/v1/moments", s.handleMoments)
 	mux.HandleFunc("POST /api/v1/ingest", s.handleIngest)
 	mux.HandleFunc("POST /api/v1/federate", s.handleFederate)
@@ -75,7 +98,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "missing query parameter")
 		return
 	}
-	v, err := s.store.QueryNow(expr)
+	v, err := s.evalQuery(expr, s.store.clk.Now())
 	if err != nil {
 		httpx.WriteJSON(w, http.StatusUnprocessableEntity, queryResponse{
 			Status: "error", Error: err.Error(),
@@ -85,6 +108,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, queryResponse{
 		Status: "success", Data: queryData{Value: v},
 	})
+}
+
+// handleQueryBatch answers a batch of expressions at one store instant.
+// An expression that fails to evaluate fails only its own entry.
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	var exprs []string
+	if err := httpx.ReadJSON(r, &exprs); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	at := s.store.clk.Now()
+	values := make([]float64, len(exprs))
+	results := make([]batchResult, len(exprs))
+	for i, expr := range exprs {
+		v, err := s.evalQuery(expr, at)
+		if err != nil {
+			results[i].Error = err.Error()
+			continue
+		}
+		values[i] = v
+		results[i].Value = &values[i]
+	}
+	httpx.WriteJSON(w, http.StatusOK, batchResponse{Status: "success", Data: results})
+}
+
+// evalQuery evaluates one expression of /api/v1/query, in either form, at
+// the store instant at. A NaN or infinite result (a ratio over no
+// traffic) is an error, since JSON has no number for it.
+func (s *Server) evalQuery(expr string, at time.Time) (float64, error) {
+	v, err := s.store.Query(expr, at)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("metrics: %q has no finite value (%v)", expr, v)
+	}
+	return v, err
 }
 
 func (s *Server) handleMoments(w http.ResponseWriter, r *http.Request) {
@@ -155,27 +212,134 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 
 // Client queries a metrics server; this is what the engine's metric
 // evaluating functions use, mirroring the paper's "providers: prometheus".
+// A Client must not be copied after its first query.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:9090".
 	BaseURL string
+
+	mu sync.Mutex
+	// sending is set while one of the client's batches is in flight;
+	// next gathers the queries that arrive meanwhile.
+	sending bool
+	next    *queryBatch
+}
+
+// queryBatch is one batch request. Its sender fills in results or err
+// before it closes done. The request runs under ctx, which is cancelled
+// once it is answered or every caller in it has returned.
+type queryBatch struct {
+	exprs   []string
+	results []batchResult
+	err     error
+	done    chan struct{}
+	ctx     context.Context
+	cancel  context.CancelFunc
+	// waiting counts the callers that have not returned; guarded by the
+	// client's mu.
+	waiting int
 }
 
 // Query evaluates expr remotely and returns the scalar result. ErrNoData
 // style failures surface as errors with the server's message.
+//
+// Queries are group-committed: one that arrives while none of the
+// client's batches is in flight goes out at once, and those that arrive
+// during a batch go out together in the next one, as a single POST
+// /api/v1/query. A check has at most one execution in flight, so a batch
+// holds at most one query per check on this provider; a strategy's
+// checks come due together and share one or two requests. A caller whose
+// ctx ends returns at once, and a batch whose callers have all returned
+// is cancelled.
 func (c *Client) Query(ctx context.Context, expr string) (float64, error) {
-	u := c.BaseURL + "/api/v1/query?query=" + url.QueryEscape(expr)
-	var resp queryResponse
-	if err := httpx.GetJSON(ctx, u, &resp); err != nil {
+	c.mu.Lock()
+	b, lead := c.next, false
+	if b == nil {
+		b = newQueryBatch()
+		if c.sending {
+			c.next = b
+		} else {
+			c.sending, lead = true, true
+		}
+	}
+	i := len(b.exprs)
+	b.exprs = append(b.exprs, expr)
+	b.waiting++
+	c.mu.Unlock()
+	if lead {
+		go c.flush(b)
+	}
+
+	select {
+	case <-b.done:
+	case <-ctx.Done():
+		c.leave(b)
+		return 0, fmt.Errorf("metrics query %q: %w", expr, ctx.Err())
+	}
+	if b.err != nil {
 		var apiErr *httpx.Error
-		if asHTTPError(err, &apiErr) {
+		if errors.As(b.err, &apiErr) {
 			return 0, fmt.Errorf("metrics query %q: %s", expr, apiErr.Message)
 		}
-		return 0, fmt.Errorf("metrics query %q: %w", expr, err)
+		return 0, fmt.Errorf("metrics query %q: %w", expr, b.err)
 	}
-	if resp.Status != "success" {
-		return 0, fmt.Errorf("metrics query %q: %s", expr, resp.Error)
+	switch r := b.results[i]; {
+	case r.Error != "":
+		return 0, fmt.Errorf("metrics query %q: %s", expr, r.Error)
+	case r.Value == nil:
+		return 0, fmt.Errorf("metrics query %q: no value in the batch response", expr)
+	default:
+		return *r.Value, nil
 	}
-	return resp.Data.Value, nil
+}
+
+func newQueryBatch() *queryBatch {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &queryBatch{done: make(chan struct{}), ctx: ctx, cancel: cancel}
+}
+
+// flush sends b, then each batch that gathered while the one before it
+// was in flight, until none did.
+func (c *Client) flush(b *queryBatch) {
+	for b != nil {
+		c.send(b)
+		c.mu.Lock()
+		b, c.next = c.next, nil
+		c.sending = b != nil
+		c.mu.Unlock()
+	}
+}
+
+// send posts b and hands its answer to its callers.
+func (c *Client) send(b *queryBatch) {
+	defer b.cancel()
+	defer close(b.done)
+	var resp batchResponse
+	if err := httpx.PostJSON(b.ctx, c.BaseURL+"/api/v1/query", b.exprs, &resp); err != nil {
+		b.err = err
+		return
+	}
+	switch {
+	case resp.Status != "success":
+		b.err = errors.New(resp.Error)
+	case len(resp.Data) != len(b.exprs):
+		b.err = fmt.Errorf("batch of %d answered with %d results", len(b.exprs), len(resp.Data))
+	default:
+		b.results = resp.Data
+	}
+}
+
+// leave takes a caller whose context ended out of b. When it was the last
+// one, b is cancelled, and dropped if it has not gone out yet.
+func (c *Client) leave(b *queryBatch) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b.waiting--; b.waiting > 0 {
+		return
+	}
+	b.cancel()
+	if c.next == b {
+		c.next = nil
+	}
 }
 
 // Moments evaluates a range selector like `response_ms{version="x"}[30s]`
@@ -185,7 +349,7 @@ func (c *Client) Moments(ctx context.Context, rangeExpr string) (Moments, error)
 	var resp momentsResponse
 	if err := httpx.GetJSON(ctx, u, &resp); err != nil {
 		var apiErr *httpx.Error
-		if asHTTPError(err, &apiErr) {
+		if errors.As(err, &apiErr) {
 			return Moments{}, fmt.Errorf("metrics moments %q: %s", rangeExpr, apiErr.Message)
 		}
 		return Moments{}, fmt.Errorf("metrics moments %q: %w", rangeExpr, err)
@@ -228,22 +392,6 @@ func (q StoreQuerier) Moments(_ context.Context, rangeExpr string) (Moments, err
 		return Moments{}, err
 	}
 	return q.Store.WindowMoments(name, selector, window, q.Store.clk.Now())
-}
-
-func asHTTPError(err error, target **httpx.Error) bool {
-	for err != nil {
-		if e, ok := err.(*httpx.Error); ok {
-			*target = e
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // Target is one scrape endpoint.

@@ -31,14 +31,17 @@ esac
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-go test -json "$@" >"$out" 2>&1
-status=$?
-
-# Surface the human-readable test output. Build errors and panics arrive
-# as plain text rather than JSON events; pass those through untouched.
-sed -n 's/.*"Action":"output","Package":[^,]*\(,"Test":[^,]*\)\{0,1\},"Output":"\(.*\)"}$/\2/p' "$out" |
-  sed 's/\\t/\t/g; s/\\n$//; s/\\"/"/g; s/\\\\/\\/g'
-grep -v '^{' "$out" || true
+# Keep the JSON events for the count below, and show the human-readable
+# test output as it arrives, so a long -count run shows its progress.
+# Build errors and panics arrive as plain text rather than JSON events;
+# they pass through untouched.
+go test -json "$@" 2>&1 | tee "$out" | sed -u -n '
+  /^{/!{p;d;}
+  s/.*"Action":"output","Package":[^,]*\(,"Test":[^,]*\)\{0,1\},"Output":"\(.*\)"}$/\2/
+  T
+  s/\\t/\t/g; s/\\n$//; s/\\"/"/g; s/\\\\/\\/g
+  p'
+status=${PIPESTATUS[0]}
 
 retried="$(sed -n 's/.*"Action":"run","Package":"\([^"]*\)","Test":"\([^"]*\)".*/\1 \2/p' "$out" |
   sort | uniq -c | awk -v n="$count" '$1 > n { print $2, $3, "(" $1 " runs)" }')"
